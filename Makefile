@@ -40,8 +40,10 @@
 #                    fixed (workload, seed, cores) must match the
 #                    committed golden trace byte for byte across both
 #                    schedulers and 1/8 sweep workers, a panicked run
-#                    must leave a clean partial trace, and the
-#                    retcon-trace analyzer must parse both wire formats
+#                    must leave a clean partial trace, the
+#                    retcon-trace analyzer must parse both wire formats,
+#                    and retcon-sim -trace-out - must pipe into
+#                    retcon-trace summary - (stats on stderr)
 
 GO ?= go
 
@@ -98,14 +100,18 @@ chaos-smoke: build
 
 # Observability smoke: the golden trace-determinism test (lockstep vs
 # event vs sweep workers 1/8, byte-identical and equal to the committed
-# testdata golden), the chaos partial-trace truncation case, and the
-# retcon-trace analyzer's own tests over both wire formats. Regenerate
-# the golden after an intentional schema change with
+# testdata golden), the chaos partial-trace truncation case, the
+# retcon-trace analyzer's own tests over both wire formats, and the
+# stdout pipe from retcon-sim into retcon-trace (the grep fails the
+# target unless the summary decoded the stream's commit events).
+# Regenerate the golden after an intentional schema change with
 # `go test -run TraceGolden -update-golden .`.
 trace-smoke: build
 	$(GO) test -count=1 -run TraceGolden .
 	$(GO) test -count=1 -run PanickedRunLeavesCleanPartialTrace ./internal/chaos/
 	$(GO) test -count=1 ./cmd/retcon-trace/
+	$(GO) run ./cmd/retcon-sim -workload counter -cores 2 -trace-out - | \
+		$(GO) run ./cmd/retcon-trace summary - | grep ' commit '
 
 # The simulator's own perf trajectory: lockstep vs event-driven scheduler
 # wall-clock on stall-heavy configurations, recorded at the repo root so

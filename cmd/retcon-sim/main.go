@@ -6,20 +6,23 @@
 // Usage:
 //
 //	retcon-sim -workload genome-sz -mode retcon -cores 32
-//	retcon-sim -workload counter -cores 2 -trace   # per-event timeline
+//	retcon-sim -workload counter -cores 2 -trace-out -   # per-event JSONL on stdout
 //	retcon-sim -workload counter -trace-out run.jsonl -metrics
+//	retcon-sim -workload counter -cores 2 -trace-out - | retcon-trace summary -
 //	retcon-sim -list
 //
 // -trace-out records the structured event trace (analyze it with
 // retcon-trace); the stream is byte-identical across schedulers for a
-// fixed (workload, seed, cores). -metrics appends the run's metric
-// registry snapshot — abort-cause counters and latency histograms — to
-// the printed stats.
+// fixed (workload, seed, cores). With -trace-out - the trace owns
+// stdout and the printed stats go to stderr, so the stream pipes
+// cleanly. -metrics appends the run's metric registry snapshot —
+// abort-cause counters and latency histograms — to the printed stats.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -39,7 +42,6 @@ func main() {
 	list := flag.Bool("list", false, "list available workloads and exit")
 	listWorkloads := flag.Bool("list-workloads", false, "list registry names and descriptions (including spec-registered entries) and exit")
 	speedup := flag.Bool("speedup", true, "also run the 1-core sequential baseline")
-	trace := flag.Bool("trace", false, "print a per-event transactional timeline (small runs only)")
 	traceOut := flag.String("trace-out", "", "record the structured event trace to this file ('-' = stdout; a .bin suffix selects the compact binary format, otherwise JSONL)")
 	metrics := flag.Bool("metrics", false, "print the metric registry snapshot (abort causes, latency histograms, scheduler occupancy)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
@@ -101,15 +103,14 @@ func main() {
 	cfg.Cores = *cores
 	cfg.Mode = mode
 	cfg.Sched = sched
-	if *trace && *traceOut != "" {
-		fmt.Fprintln(os.Stderr, "retcon-sim: -trace and -trace-out are mutually exclusive (one recorder per run)")
-		os.Exit(2)
-	}
+	// The printed stats go to stdout unless the trace stream owns it.
+	var out io.Writer = os.Stdout
 	var res *retcon.Result
-	switch {
-	case *traceOut != "":
+	if *traceOut != "" {
 		tf := os.Stdout
-		if *traceOut != "-" {
+		if *traceOut == "-" {
+			out = os.Stderr
+		} else {
 			tf, err = os.Create(*traceOut)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "retcon-sim:", err)
@@ -132,9 +133,7 @@ func main() {
 				err = cerr
 			}
 		}
-	case *trace:
-		res, err = retcon.RunTraced(w, cfg, *seed, os.Stdout)
-	default:
+	} else {
 		res, err = retcon.RunSeeded(w, cfg, *seed)
 	}
 	if err != nil {
@@ -157,31 +156,31 @@ func main() {
 	}
 
 	tot := res.Sim.Totals()
-	fmt.Printf("workload  %s (%s)\n", w.Name(), w.Description())
-	fmt.Printf("machine   %d cores, mode %v, sched %v\n", *cores, mode, sched)
-	fmt.Printf("cycles    %d\n", res.Cycles)
-	fmt.Printf("instrs    %d\n", tot.Instrs)
-	fmt.Printf("commits   %d   aborts %d   nacks %d   overflows %d\n",
-		tot.Commits, tot.Aborts, tot.Nacks, tot.Overflows)
+	fmt.Fprintf(out, "workload  %s (%s)\n", w.Name(), w.Description())
+	fmt.Fprintf(out, "machine   %d cores, mode %v, sched %v\n", *cores, mode, sched)
+	fmt.Fprintf(out, "cycles    %d\n", res.Cycles)
+	fmt.Fprintf(out, "instrs    %d\n", tot.Instrs)
+	fmt.Fprintf(out, "commits   %d   aborts %d   nacks %d   overflows %d\n",
+		tot.Commits, tot.Aborts, tot.Nacks, res.Sim.Metrics.AbortCause[telemetry.CauseSpecOverflow])
 	bd := res.Sim.Breakdown()
-	fmt.Printf("breakdown busy %.1f%%  barrier %.1f%%  conflict %.1f%%  other %.1f%%\n",
+	fmt.Fprintf(out, "breakdown busy %.1f%%  barrier %.1f%%  conflict %.1f%%  other %.1f%%\n",
 		100*bd[sim.CatBusy], 100*bd[sim.CatBarrier], 100*bd[sim.CatConflict], 100*bd[sim.CatOther])
 
 	if mode == retcon.ModeRetCon || mode == retcon.ModeLazyVB {
 		t3 := res.Sim.Table3()
-		fmt.Printf("retcon    blocks lost %.1f (%.0f)  tracked %.1f (%.0f)  stores %.1f (%.0f)\n",
+		fmt.Fprintf(out, "retcon    blocks lost %.1f (%.0f)  tracked %.1f (%.0f)  stores %.1f (%.0f)\n",
 			t3.AvgLost, t3.MaxLost, t3.AvgTracked, t3.MaxTracked, t3.AvgStores, t3.MaxStores)
-		fmt.Printf("          constraints %.1f (%.0f)  commit cycles %.1f  commit stall %.2f%%\n",
+		fmt.Fprintf(out, "          constraints %.1f (%.0f)  commit cycles %.1f  commit stall %.2f%%\n",
 			t3.AvgConstraints, t3.MaxConstraints, t3.AvgCommitCycles, t3.CommitStallPct)
 	}
 
 	if *metrics {
-		fmt.Println("metrics")
-		if err := res.Sim.MetricsSnapshot().WriteText(os.Stdout); err != nil {
+		fmt.Fprintln(out, "metrics")
+		if err := res.Sim.MetricsSnapshot().WriteText(out); err != nil {
 			fmt.Fprintln(os.Stderr, "retcon-sim:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("sched     event-loop %d cycles  dense %d cycles  handoffs %d\n",
+		fmt.Fprintf(out, "sched     event-loop %d cycles  dense %d cycles  handoffs %d\n",
 			res.Sched.EventCycles, res.Sched.DenseCycles, res.Sched.Handoffs)
 	}
 
@@ -194,7 +193,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "retcon-sim: sequential baseline:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("speedup   %.2fx over sequential (%d cycles)\n",
+		fmt.Fprintf(out, "speedup   %.2fx over sequential (%d cycles)\n",
 			float64(seq.Cycles)/float64(res.Cycles), seq.Cycles)
 	}
 }

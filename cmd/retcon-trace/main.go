@@ -176,7 +176,7 @@ func writeCoreTable(w io.Writer, evs []telemetry.Event, coreMax int32) {
 	rows := make([]row, coreMax+1)
 	for i := range evs {
 		if evs[i].Core < 0 {
-			continue // scheduler events are machine-wide, not per-core
+			continue // no core to attribute the event to
 		}
 		r := &rows[evs[i].Core]
 		switch evs[i].Kind {
@@ -422,7 +422,7 @@ func cmdDiff(args []string, w io.Writer) (differs bool, err error) {
 	for i := 0; i < n; i++ {
 		if a[i] != b[i] {
 			fmt.Fprintf(w, "traces diverge at event %d:\n  a: %s\n  b: %s\n",
-				i, fmtEvent(&a[i]), fmtEvent(&b[i]))
+				i, a[i], b[i])
 			return true, nil
 		}
 	}
@@ -432,13 +432,4 @@ func cmdDiff(args []string, w io.Writer) (differs bool, err error) {
 	}
 	fmt.Fprintf(w, "traces identical: %d events\n", len(a))
 	return false, nil
-}
-
-// fmtEvent renders one event for diff output.
-func fmtEvent(e *telemetry.Event) string {
-	s := fmt.Sprintf("t=%d core=%d %s", e.Cycle, e.Core, e.Kind)
-	if e.Kind == telemetry.KindAbort {
-		s += fmt.Sprintf(" cause=%s", e.Cause)
-	}
-	return s + fmt.Sprintf(" tx=%d block=%#x a=%d b=%d c=%d d=%d e=%d", e.Tx, e.Block, e.A, e.B, e.C, e.D, e.E)
 }

@@ -29,6 +29,7 @@ import (
 	retcon "repro"
 	"repro/internal/sim"
 	"repro/internal/sweep"
+	"repro/internal/telemetry"
 	"repro/internal/wspec"
 )
 
@@ -137,7 +138,7 @@ func main() {
 		fmt.Printf("cycles    %d   (wall %s)\n", res.Cycles, time.Since(start).Round(time.Millisecond))
 		fmt.Printf("instrs    %d\n", tot.Instrs)
 		fmt.Printf("commits   %d   aborts %d   nacks %d   overflows %d\n",
-			tot.Commits, tot.Aborts, tot.Nacks, tot.Overflows)
+			tot.Commits, tot.Aborts, tot.Nacks, res.Sim.Metrics.AbortCause[telemetry.CauseSpecOverflow])
 		fmt.Printf("breakdown busy %.1f%%  barrier %.1f%%  conflict %.1f%%  other %.1f%%\n",
 			100*bd[sim.CatBusy], 100*bd[sim.CatBarrier], 100*bd[sim.CatConflict], 100*bd[sim.CatOther])
 		fmt.Printf("verify    ok (final-state oracle passed)\n")

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // Oracle names, used to classify divergences (and to keep the shrinker
@@ -153,17 +154,17 @@ func runSched(p *Prog, mode sim.Mode, kind sim.SchedKind, o Options) *runOut {
 		return &runOut{err: err}
 	}
 	defer machines.Put(m)
-	// The stats oracle asserts Overflows == 0, which is only a fair
-	// invariant if a transaction's worst-case footprint (every shared
-	// block plus the core's private block) fits the machine's speculative
-	// capacity. Generated layouts sit far below Table 1's 1280 blocks;
-	// this guards the invariant if either side ever changes.
+	// The stats oracle asserts no spec-overflow aborts, which is only a
+	// fair invariant if a transaction's worst-case footprint (every
+	// shared block plus the core's private block) fits the machine's
+	// speculative capacity. Generated layouts sit far below Table 1's
+	// 1280 blocks; this guards the invariant if either side ever changes.
 	blocks := func(words int) int { return (words + mem.WordsPerBlock - 1) / mem.WordsPerBlock }
 	if fp := blocks(len(p.Words)) + blocks(p.TableSlots) + 1; fp > m.Cores[0].Tx.Spec.Cap() {
 		return &runOut{err: fmt.Errorf("fuzz: footprint %d blocks exceeds speculative capacity %d", fp, m.Cores[0].Tx.Spec.Cap())}
 	}
 	trace := &cappedBuf{limit: traceCapBytes}
-	m.TraceTo(trace)
+	m.Record(telemetry.NewRecorder(telemetry.NewBinarySink(trace), 0))
 	if !o.SkipReplay {
 		inner := ReplayOracle()
 		m.OnCommit(func(mm *sim.Machine, cc *sim.Core) error {
@@ -186,20 +187,20 @@ func runSched(p *Prog, mode sim.Mode, kind sim.SchedKind, o Options) *runOut {
 // cap is caught, and the cap is far above any healthy run's output.
 const traceCapBytes = 8 << 20
 
-// cappedBuf is an io.Writer that keeps the first limit bytes and
-// discards the rest.
+// cappedBuf is an io.Writer that keeps whole writes until the first
+// one that would take it past limit bytes, and discards that write and
+// every later one. The binary sink writes whole records per call, so
+// the kept prefix always decodes.
 type cappedBuf struct {
 	buf   bytes.Buffer
 	limit int
 }
 
 func (c *cappedBuf) Write(p []byte) (int, error) {
-	if room := c.limit - c.buf.Len(); room > 0 {
-		if len(p) > room {
-			c.buf.Write(p[:room])
-		} else {
-			c.buf.Write(p)
-		}
+	if c.buf.Len()+len(p) <= c.limit {
+		c.buf.Write(p)
+	} else {
+		c.limit = 0 // nothing fits after the first dropped write
 	}
 	return len(p), nil
 }
@@ -227,14 +228,25 @@ func checkStats(p *Prog, ex *expect, mode sim.Mode, res *sim.Result) *Divergence
 		if c.Commits != ex.commits[i] {
 			return div("core %d: %d commits, statically expected %d", i, c.Commits, ex.commits[i])
 		}
-		if c.Overflows != 0 {
-			return div("core %d: %d spec-set overflows on a non-overflowing configuration", i, c.Overflows)
-		}
 		if c.Instrs <= 0 {
 			return div("core %d: %d instructions", i, c.Instrs)
 		}
 	}
 	t := res.Totals()
+	causes := &res.Metrics.AbortCause
+	if causes[telemetry.CauseNone] != 0 {
+		return div("%d aborts recorded without a cause", causes[telemetry.CauseNone])
+	}
+	if n := causes[telemetry.CauseSpecOverflow]; n != 0 {
+		return div("%d spec-set overflows on a non-overflowing configuration", n)
+	}
+	var byCause int64
+	for _, n := range causes {
+		byCause += n
+	}
+	if byCause != t.Aborts {
+		return div("%d aborts by cause, %d aborts per core", byCause, t.Aborts)
+	}
 	agg := res.Retcon
 	if mode == sim.Eager {
 		if agg.Txs != 0 {
@@ -242,10 +254,6 @@ func checkStats(p *Prog, ex *expect, mode sim.Mode, res *sim.Result) *Divergence
 		}
 	} else if agg.Txs != t.Commits {
 		return div("RETCON aggregate has %d txs, %d commits", agg.Txs, t.Commits)
-	}
-	if agg.ConstraintViolations+agg.StructureOverflowAborts > t.Aborts {
-		return div("%d constraint violations + %d structure overflows > %d aborts",
-			agg.ConstraintViolations, agg.StructureOverflowAborts, t.Aborts)
 	}
 	for _, c := range []struct {
 		name     string
@@ -302,21 +310,21 @@ func checkMemory(p *Prog, ex *expect, img *mem.Image) *Divergence {
 	return nil
 }
 
-// firstTraceDiff renders the first differing trace line for a readable
-// divergence report.
+// firstTraceDiff decodes both binary traces and renders the first
+// differing event for a readable divergence report.
 func firstTraceDiff(a, b []byte) string {
-	la, lb := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
-	for i := 0; i < len(la) || i < len(lb); i++ {
-		var x, y []byte
-		if i < len(la) {
-			x = la[i]
-		}
-		if i < len(lb) {
-			y = lb[i]
-		}
-		if !bytes.Equal(x, y) {
-			return fmt.Sprintf("\nline %d:\nlockstep: %s\nevent:    %s", i+1, x, y)
+	ea, err := telemetry.ReadEvents(bytes.NewReader(a))
+	if err != nil {
+		return fmt.Sprintf("\nlockstep trace: %v", err)
+	}
+	eb, err := telemetry.ReadEvents(bytes.NewReader(b))
+	if err != nil {
+		return fmt.Sprintf("\nevent trace: %v", err)
+	}
+	for i := 0; i < len(ea) && i < len(eb); i++ {
+		if ea[i] != eb[i] {
+			return fmt.Sprintf("\nevent %d:\nlockstep: %s\nevent:    %s", i, ea[i], eb[i])
 		}
 	}
-	return ""
+	return fmt.Sprintf("\none trace is a prefix of the other (%d vs %d events)", len(ea), len(eb))
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/sweep"
+	"repro/internal/telemetry"
 )
 
 // Metric is a compiled arithmetic expression over the per-run result
@@ -266,16 +267,16 @@ func runEnv(res *sim.Result, baseCycles int64, haveBase bool) map[string]float64
 		"commits":               float64(t.Commits),
 		"aborts":                float64(t.Aborts),
 		"nacks":                 float64(t.Nacks),
-		"overflows":             float64(t.Overflows),
+		"overflows":             float64(res.Metrics.AbortCause[telemetry.CauseSpecOverflow]),
 		"busy_frac":             bd[sim.CatBusy],
 		"barrier_frac":          bd[sim.CatBarrier],
 		"conflict_frac":         bd[sim.CatConflict],
 		"other_frac":            bd[sim.CatOther],
 		"retcon_txs":            float64(res.Retcon.Txs),
 		"commit_cycles":         float64(res.Retcon.SumCommitCycles),
-		"so_aborts":             float64(res.Retcon.StructureOverflowAborts),
-		"constraint_violations": float64(res.Retcon.ConstraintViolations),
-		"fold_rejects":          float64(res.Retcon.ConstraintFoldRejects),
+		"so_aborts":             float64(res.Metrics.AbortCause[telemetry.CauseStructOverflow]),
+		"constraint_violations": float64(res.Metrics.AbortCause[telemetry.CauseConstraintViolation]),
+		"fold_rejects":          float64(res.Metrics.AbortCause[telemetry.CauseUnfoldableConstraint]),
 	}
 	if haveBase && res.Cycles > 0 {
 		env["baseline_cycles"] = float64(baseCycles)

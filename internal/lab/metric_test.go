@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/testutil"
 	"repro/internal/workloads"
 )
@@ -116,12 +117,15 @@ func TestRunEnv(t *testing.T) {
 			{Commits: 3, Aborts: 1, Nacks: 4, Instrs: 50},
 			{Commits: 5, Aborts: 2, Nacks: 6, Instrs: 70},
 		},
-		Retcon: sim.RetconAgg{Txs: 8, SumCommitCycles: 40, StructureOverflowAborts: 1},
+		Retcon: sim.RetconAgg{Txs: 8, SumCommitCycles: 40},
 	}
+	res.Metrics.AbortCause[telemetry.CauseStructOverflow] = 1
+	res.Metrics.AbortCause[telemetry.CauseConstraintViolation] = 2
 	env := runEnv(res, 600, true)
 	want := map[string]float64{
 		"cycles": 200, "commits": 8, "aborts": 3, "nacks": 10, "instrs": 120,
 		"retcon_txs": 8, "commit_cycles": 40, "so_aborts": 1,
+		"constraint_violations": 2, "fold_rejects": 0, "overflows": 0,
 		"baseline_cycles": 600, "speedup": 3,
 	}
 	for k, v := range want {

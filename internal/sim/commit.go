@@ -62,7 +62,6 @@ func (m *Machine) commitRepair(c *Core) {
 		}
 		if e.Written {
 			if !c.Tx.Spec.Mark(e.Block, false) { // also mark read for atomicity
-				c.Stats.Overflows++
 				m.abort(c, -1, telemetry.CauseSpecOverflow)
 				return
 			}
@@ -80,7 +79,6 @@ func (m *Machine) commitRepair(c *Core) {
 
 	// Constraint validation against final values.
 	if w := c.Ret.CheckConstraints(); w >= 0 {
-		c.RetAgg.ConstraintViolations++
 		m.trainDown(c, w)
 		if m.rec != nil {
 			iv, _ := c.Ret.ConstraintOn(w)

@@ -352,7 +352,6 @@ func (m *Machine) execBranch(c *Core, in *isa.Instr) bool {
 				// abort rather than commit under a mis-bounded
 				// constraint, and train the predictor down so the retry
 				// does not re-track the same root into the same dead end.
-				c.RetAgg.ConstraintFoldRejects++
 				m.trainDown(c, sym.Root)
 				if m.rec != nil {
 					m.rec.Emit(telemetry.Event{Cycle: m.Now, Core: int32(c.ID), Kind: telemetry.KindReject,

@@ -327,9 +327,6 @@ func mergeAgg(dst, src *RetconAgg) {
 	dst.SumConstraints += src.SumConstraints
 	dst.SumCommitCycles += src.SumCommitCycles
 	dst.SumTxCycles += src.SumTxCycles
-	dst.ConstraintViolations += src.ConstraintViolations
-	dst.StructureOverflowAborts += src.StructureOverflowAborts
-	dst.ConstraintFoldRejects += src.ConstraintFoldRejects
 	dst.MaxLost = max(dst.MaxLost, src.MaxLost)
 	dst.MaxTracked = max(dst.MaxTracked, src.MaxTracked)
 	dst.MaxRegs = max(dst.MaxRegs, src.MaxRegs)

@@ -161,7 +161,6 @@ func (m *Machine) memAccess(c *Core, block int64, isWrite, setSpec, allowNack bo
 		if !c.Tx.Spec.Mark(block, isWrite) {
 			// Speculative-metadata overflow: abort (OneTM fallback). This
 			// never fires on the paper workloads; the statistic proves it.
-			c.Stats.Overflows++
 			m.abort(c, -1, telemetry.CauseSpecOverflow)
 			return 0, accessAbort
 		}
@@ -251,7 +250,6 @@ func (m *Machine) load(c *Core, addr int64, size uint8) (val int64, sym core.Sym
 			}
 			// IVB full: fall through to a normal (conflict-detected) load.
 			if !c.Tx.Spec.Mark(block, false) {
-				c.Stats.Overflows++
 				m.abort(c, -1, telemetry.CauseSpecOverflow)
 				return 0, core.SymVal{}, 0, accessAbort
 			}
@@ -382,7 +380,6 @@ func (m *Machine) normalStore(c *Core, addr int64, size uint8, data int64) (int6
 // (constraint buffer) overflowed, training the predictor down on the root
 // block so the workload does not livelock on the same overflow.
 func (m *Machine) structOverflowAbort(c *Core, rootWord int64) (int64, core.SymVal, int64, accessStatus) {
-	c.RetAgg.StructureOverflowAborts++
 	m.trainDown(c, rootWord)
 	m.abort(c, -1, telemetry.CauseStructOverflow)
 	return 0, core.SymVal{}, 0, accessAbort

@@ -9,6 +9,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
@@ -52,7 +53,7 @@ func TestResetEquivalence(t *testing.T) {
 		}
 
 		run := func(m *sim.Machine, bundle *workloads.Bundle, trace *bytes.Buffer) *sim.Result {
-			m.TraceTo(trace)
+			m.Record(telemetry.NewRecorder(telemetry.NewJSONLSink(trace), 0))
 			res, err := m.Run()
 			if err != nil {
 				t.Fatalf("run %d (%s/%v/%d/%v): %v", i, g.wl, g.mode, g.cores, g.sched, err)
@@ -149,7 +150,7 @@ func TestResetClearsObservers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var trace bytes.Buffer
-	m.TraceTo(&trace)
+	m.Record(telemetry.NewRecorder(telemetry.NewJSONLSink(&trace), 0))
 	hookCalls := 0
 	m.OnCommit(func(*sim.Machine, *sim.Core) error { hookCalls++; return nil })
 	if _, err := m.Run(); err != nil {

@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"strings"
-
-	"repro/internal/telemetry"
 )
 
 // neverWakes is the wake time of a core with no timed wake event; it is
@@ -175,7 +173,14 @@ const parked = neverWakes
 // scanSchedMaxCores is the largest machine the dense-scan wake queue is
 // used for; larger machines use the timing wheel. The crossover is where
 // the scan's O(cores) per visited cycle overtakes the wheel's per-event
-// overhead (measured: scan wins clearly at 8–16, wheel at 32–64).
+// overhead. Measured with runDense in place by forcing each loop at
+// every size (interleaved A/B of Machine.Run, 15 pairs per point,
+// Results checked equal, eager/RetCon on a 2-vCPU Xeon, go1.24), as
+// median scan/wheel time: 0.72–0.95 at 2–8 cores (counter, intruder,
+// python_opt; genome@8 ties at 1.03), 0.91–1.00 at 16, 0.92–1.08 at 32
+// (intruder@32 1.08) and 1.09–1.21 at 64 (labyrinth, yada, ssca2). The
+// scan wins up to 16 and loses at 64, and 32 is mixed, so both loops
+// stay and the crossover stays at 16.
 const scanSchedMaxCores = 16
 
 func (eventSched) Run(m *Machine) error {
@@ -209,11 +214,6 @@ func (eventSched) Run(m *Machine) error {
 		// category still pending, exactly what settle charges), then run
 		// eagerly attributed dense cycles until the phase ends.
 		m.schedStats.Handoffs++
-		if m.rec != nil {
-			// Scheduler-infrastructure event: masked out of ArchKinds, so
-			// default streams stay scheduler-portable.
-			m.rec.Emit(telemetry.Event{Cycle: m.Now, Core: -1, Kind: telemetry.KindHandoff, A: 1})
-		}
 		for _, c := range m.Cores {
 			if !c.halted {
 				m.settle(c, m.Now)
@@ -226,9 +226,6 @@ func (eventSched) Run(m *Machine) error {
 		m.lazyAttr = true
 		if done || err != nil {
 			return err
-		}
-		if m.rec != nil {
-			m.rec.Emit(telemetry.Event{Cycle: m.Now, Core: -1, Kind: telemetry.KindHandoff, A: 0})
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/telemetry"
 )
 
 // runBoth builds the machine twice via build() and runs it under the
@@ -27,7 +28,7 @@ func runBoth(t *testing.T, p Params, probe int64, build func() (*mem.Image, []*i
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		m.TraceTo(&buf)
+		m.Record(telemetry.NewRecorder(telemetry.NewJSONLSink(&buf), 0))
 		res, err := m.Run()
 		if err != nil {
 			t.Fatalf("sched=%v: %v", kind, err)

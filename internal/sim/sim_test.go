@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/telemetry"
 )
 
 // buildCounter builds the canonical shared-counter programs: each of n
@@ -75,7 +76,7 @@ func TestCounterAtomicityAllModes(t *testing.T) {
 			if tot.Commits != int64(cores*6) {
 				t.Errorf("mode=%v cores=%d: commits=%d want %d", mode, cores, tot.Commits, cores*6)
 			}
-			if tot.Overflows != 0 {
+			if res.Metrics.AbortCause[telemetry.CauseSpecOverflow] != 0 {
 				t.Errorf("mode=%v cores=%d: unexpected spec overflow", mode, cores)
 			}
 		}
@@ -202,7 +203,7 @@ func TestFigure8Scenario(t *testing.T) {
 	if res.Retcon.SumLost == 0 {
 		t.Error("the block must have been recorded as lost")
 	}
-	if res.Retcon.ConstraintViolations != 0 {
+	if res.Metrics.AbortCause[telemetry.CauseConstraintViolation] != 0 {
 		t.Error("constraints [A]>? were satisfiable; no violation expected")
 	}
 }
@@ -266,7 +267,7 @@ func TestConstraintViolationAborts(t *testing.T) {
 	if img.Read64(a) == 50 && got == 1 {
 		// A=50 at core 0's commit means the constraint r1<10 was violated;
 		// re-execution must have taken the 'big' path.
-		if res.Retcon.ConstraintViolations == 0 {
+		if res.Metrics.AbortCause[telemetry.CauseConstraintViolation] == 0 {
 			t.Error("expected a recorded constraint violation")
 		}
 		t.Fatalf("out = 1 contradicts committed A = 50")
@@ -411,7 +412,7 @@ func TestSpecOverflowAborts(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected watchdog: capacity overflow cannot commit")
 	}
-	if m.Cores[0].Stats.Overflows == 0 {
+	if m.metrics.AbortCause[telemetry.CauseSpecOverflow] == 0 {
 		t.Error("overflow statistic must be recorded")
 	}
 }

@@ -40,12 +40,11 @@ func (c Category) String() string {
 
 // CoreStats accumulates one core's counters.
 type CoreStats struct {
-	Cycles    [NumCategories]int64
-	Commits   int64
-	Aborts    int64
-	Nacks     int64
-	Overflows int64 // spec-set overflows (should be zero on paper workloads)
-	Instrs    int64
+	Cycles  [NumCategories]int64
+	Commits int64
+	Aborts  int64
+	Nacks   int64
+	Instrs  int64
 }
 
 // RetconAgg aggregates per-committed-transaction RETCON utilization for
@@ -60,12 +59,6 @@ type RetconAgg struct {
 	SumConstraints, MaxConstraints   int64
 	SumCommitCycles, MaxCommitCycles int64
 	SumTxCycles                      int64
-	ConstraintViolations             int64
-	StructureOverflowAborts          int64
-	// ConstraintFoldRejects counts aborts taken because no sound interval
-	// constraint existed for a branch outcome (inconsistent tracking at
-	// the int64 wrap boundaries); see core.BranchConstraint.
-	ConstraintFoldRejects int64
 }
 
 func (a *RetconAgg) record(st core.TxStats, txCycles int64) {
@@ -161,7 +154,6 @@ func (r *Result) Totals() CoreStats {
 		t.Commits += c.Commits
 		t.Aborts += c.Aborts
 		t.Nacks += c.Nacks
-		t.Overflows += c.Overflows
 		t.Instrs += c.Instrs
 	}
 	return t

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/telemetry"
 )
 
 // twoCoreScenario wires the standard steal pattern: core 1 stores to the
@@ -115,7 +116,7 @@ func TestUntrackableUsePinsValue(t *testing.T) {
 	// transaction committed against). A is 4 after the steal, and core 0's
 	// transaction commits after the steal, so only 40 is acceptable when
 	// the steal landed in the window.
-	if res.Retcon.SumLost > 0 || res.Retcon.ConstraintViolations > 0 || res.Totals().Aborts > 1 {
+	if res.Retcon.SumLost > 0 || res.Metrics.AbortCause[telemetry.CauseConstraintViolation] > 0 || res.Totals().Aborts > 1 {
 		if got != 40 {
 			t.Errorf("pinned multiply result %d, want 40 (re-executed with stolen value)", got)
 		}

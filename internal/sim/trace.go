@@ -1,85 +1,17 @@
 package sim
 
-import (
-	"fmt"
-	"io"
-
-	"repro/internal/core"
-	"repro/internal/isa"
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
 // Record attaches a structured event recorder for the next Run: every
-// architectural decision selected by the recorder's kind mask (begin,
-// commit, abort with cause, NACK, symbolic release, constraint
-// violation/reject, repair, tracking and predictor-training decisions)
-// is emitted as a typed telemetry.Event. Events carry exact timestamps
-// under every scheduler: the event-driven scheduler skips idle cycles
-// but executes (and therefore records) each decision at the same Now
-// the lockstep oracle would, so a recorded stream is byte-identical
-// across schedulers and sweep worker counts for the kinds in
-// telemetry.ArchKinds. Recording is disabled by passing nil; a
-// disabled machine pays one nil check per decision point. Reset and
-// MachinePool.Put detach the recorder; the machine flushes it when Run
-// returns (including by panic, so a failed run leaves a clean event
-// prefix).
+// architectural decision (begin, commit, abort with cause, NACK,
+// symbolic release, constraint violation/reject, repair, tracking and
+// predictor-training decisions) is emitted as a typed telemetry.Event.
+// Events carry exact timestamps under every scheduler: the event-driven
+// scheduler skips idle cycles but executes (and therefore records) each
+// decision at the same Now the lockstep oracle would, so a recorded
+// stream is byte-identical across schedulers and sweep worker counts.
+// Recording is disabled by passing nil; a disabled machine pays one nil
+// check per decision point. Reset and MachinePool.Put detach the
+// recorder; the machine flushes it when Run returns (including by
+// panic, so a failed run leaves a clean event prefix).
 func (m *Machine) Record(rec *telemetry.Recorder) { m.rec = rec }
-
-// TraceTo enables legacy text tracing: one line per transactional event
-// (begin, commit, abort, NACK, symbolic loss, constraint violation,
-// repair) is written to w. It is an adapter over Record — a recorder
-// with a text sink and exactly the legacy kinds selected — kept for
-// human eyes and the tools that grew around the format. Tracing is
-// meant for small machines and short programs (it is exact, not
-// sampled) and is disabled by passing nil. Like any recorded stream,
-// trace output is byte-identical across schedulers.
-func (m *Machine) TraceTo(w io.Writer) {
-	if w == nil {
-		m.rec = nil
-		return
-	}
-	rec := telemetry.NewRecorder(&legacyTextSink{w: w}, 0)
-	rec.SetKinds(telemetry.LegacyKinds)
-	m.rec = rec
-}
-
-// legacyTextSink renders events in the original one-line-per-event text
-// format, byte for byte.
-type legacyTextSink struct {
-	w io.Writer
-}
-
-func (s *legacyTextSink) WriteEvents(evs []telemetry.Event) error {
-	for i := range evs {
-		if err := s.writeEvent(&evs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *legacyTextSink) writeEvent(e *telemetry.Event) error {
-	var err error
-	prefix := func(format string, args ...interface{}) {
-		_, err = fmt.Fprintf(s.w, "t=%-7d core%-2d %s\n", e.Cycle, e.Core, fmt.Sprintf(format, args...))
-	}
-	switch e.Kind {
-	case telemetry.KindBegin:
-		prefix("begin   ts=%d pc=%d", e.Tx, e.A)
-	case telemetry.KindCommit:
-		prefix("commit  ts=%d lifetime=%d cycles", e.Tx, e.A)
-	case telemetry.KindAbort:
-		prefix("abort   attempt=%d blame=block %#x, restart pc=%d", e.A, e.Block, e.B)
-	case telemetry.KindNack:
-		prefix("nack    block %#x held by core %d (older)", e.Block, e.A)
-	case telemetry.KindRelease:
-		prefix("release block %#x stolen by core %d (symbolic, no conflict)", e.Block, e.A)
-	case telemetry.KindViolate:
-		prefix("violate constraint %v on word %#x (value %d)", core.Interval{Lo: e.B, Hi: e.C}, e.Block, e.A)
-	case telemetry.KindReject:
-		prefix("reject  unfoldable %v constraint on word %#x", isa.Op(e.A), e.Block)
-	case telemetry.KindRepair:
-		prefix("repair  %d blocks (%d lost), %d stores, %d constraints, %d cycles", e.A, e.B, e.C, e.D, e.E)
-	}
-	return err
-}

@@ -1,8 +1,8 @@
 // Package telemetry is the deterministic observability layer: a typed
 // event stream recorded by the simulator at every architectural
 // decision point (transaction begin/commit/abort, NACKs, value
-// repairs, predictor training, scheduler handoffs), plus the
-// counter/histogram registry snapshotted into results.
+// repairs, predictor training), plus the counter/histogram registry
+// snapshotted into results.
 //
 // The contract mirrors the simulator's own: for a fixed (workload,
 // params, seed) the recorded event stream is byte-identical across
@@ -11,6 +11,8 @@
 // owned by the machine and flush in batches. When no recorder is
 // attached the cost is one nil check per decision point.
 package telemetry
+
+import "fmt"
 
 // Kind identifies which architectural decision an Event records.
 type Kind uint8
@@ -27,13 +29,12 @@ const (
 	KindRepair       // value repair at commit: A=blocks tracked, B=blocks lost, C=stores, D=constraint addrs, E=repair cycles
 	KindTrack        // value tracking begins on a block: Block, Tx=timestamp
 	KindTrain        // predictor trained: Block, A=+1 (conflict observed) or -1 (violation observed)
-	KindHandoff      // scheduler mode handoff: A=1 entering dense, 0 returning to event-driven
 	NumKinds
 )
 
 var kindNames = [NumKinds]string{
 	"none", "begin", "commit", "abort", "nack", "release",
-	"violate", "reject", "repair", "track", "train", "handoff",
+	"violate", "reject", "repair", "track", "train",
 }
 
 func (k Kind) String() string {
@@ -103,4 +104,14 @@ type Event struct {
 	Core  int32 // core the event is attributed to
 	Kind  Kind
 	Cause Cause
+}
+
+// String renders the event on one line: time, core and kind, the cause
+// on aborts, then every payload slot.
+func (e Event) String() string {
+	s := fmt.Sprintf("t=%d core=%d %s", e.Cycle, e.Core, e.Kind)
+	if e.Kind == KindAbort {
+		s += fmt.Sprintf(" cause=%s", e.Cause)
+	}
+	return s + fmt.Sprintf(" tx=%d block=%#x a=%d b=%d c=%d d=%d e=%d", e.Tx, e.Block, e.A, e.B, e.C, e.D, e.E)
 }

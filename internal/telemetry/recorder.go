@@ -1,33 +1,5 @@
 package telemetry
 
-// MaskOf builds a kind mask selecting the given kinds.
-func MaskOf(kinds ...Kind) uint64 {
-	var m uint64
-	for _, k := range kinds {
-		m |= 1 << k
-	}
-	return m
-}
-
-const (
-	// LegacyKinds selects exactly the eight kinds the original text
-	// trace carried. The TraceTo adapter records with this mask so the
-	// legacy byte format is reproduced line for line.
-	LegacyKinds uint64 = 1<<KindBegin | 1<<KindCommit | 1<<KindAbort |
-		1<<KindNack | 1<<KindRelease | 1<<KindViolate | 1<<KindReject | 1<<KindRepair
-
-	// ArchKinds is the default mask: every architectural event —
-	// everything whose occurrence and order is a pure function of
-	// (workload, params, seed). Streams recorded under this mask are
-	// byte-identical across schedulers and worker counts.
-	ArchKinds = LegacyKinds | 1<<KindTrack | 1<<KindTrain
-
-	// AllKinds additionally selects scheduler-infrastructure events
-	// (dense-mode handoffs), which only the event-driven scheduler
-	// emits; traces recorded with it are not scheduler-portable.
-	AllKinds = ArchKinds | 1<<KindHandoff
-)
-
 // A Sink consumes flushed event batches. The slice is only valid for
 // the duration of the call; sinks that retain events must copy.
 type Sink interface {
@@ -36,10 +8,9 @@ type Sink interface {
 
 // A Recorder buffers events into a pre-sized ring and flushes them to
 // its sink in batches. Emit on a steady-state recorder performs one
-// mask test and one in-place append — no allocation, no formatting.
-// A nil *Recorder is valid and records nothing.
+// in-place append — no allocation, no formatting. A nil *Recorder is
+// valid and records nothing.
 type Recorder struct {
-	mask uint64
 	buf  []Event
 	sink Sink
 	err  error
@@ -50,37 +21,24 @@ type Recorder struct {
 const DefaultBufEvents = 4096
 
 // NewRecorder builds a recorder over sink with a ring of bufEvents
-// events (DefaultBufEvents if <= 0) and the ArchKinds mask.
+// events (DefaultBufEvents if <= 0).
 func NewRecorder(sink Sink, bufEvents int) *Recorder {
 	if bufEvents <= 0 {
 		bufEvents = DefaultBufEvents
 	}
-	return &Recorder{mask: ArchKinds, buf: make([]Event, 0, bufEvents), sink: sink}
+	return &Recorder{buf: make([]Event, 0, bufEvents), sink: sink}
 }
 
-// SetKinds replaces the kind mask. Call before recording starts; the
-// mask is not meant to change mid-stream.
-func (r *Recorder) SetKinds(mask uint64) { r.mask = mask }
-
-// Kinds returns the active kind mask.
-func (r *Recorder) Kinds() uint64 { return r.mask }
-
-// Emit records one event if its kind is selected, flushing the ring
-// when full. Safe on a nil receiver (records nothing).
+// Emit records one event, flushing the ring when full. Safe on a nil
+// receiver (records nothing).
 func (r *Recorder) Emit(e Event) {
-	if r == nil || r.mask&(1<<e.Kind) == 0 {
+	if r == nil {
 		return
 	}
 	r.buf = append(r.buf, e)
 	if len(r.buf) == cap(r.buf) {
 		r.flush()
 	}
-}
-
-// Wants reports whether events of kind k would be recorded. Use it to
-// skip payload computation that only feeds an unselected kind.
-func (r *Recorder) Wants(k Kind) bool {
-	return r != nil && r.mask&(1<<k) != 0
 }
 
 // Flush drains the ring to the sink. The machine calls it once at the

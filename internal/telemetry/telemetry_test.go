@@ -53,7 +53,6 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
 			rec := NewRecorder(tc.sink(&buf), 3) // smaller than len(evs): exercises mid-stream flushes
-			rec.SetKinds(AllKinds)
 			for _, e := range evs {
 				rec.Emit(e)
 			}
@@ -91,27 +90,38 @@ func TestReadEventsTruncatedBinary(t *testing.T) {
 	}
 }
 
-func TestMasks(t *testing.T) {
+func TestRecorderPassesEveryKind(t *testing.T) {
 	var buf bytes.Buffer
-	rec := NewRecorder(NewJSONLSink(&buf), 0)
-	if rec.Kinds() != ArchKinds {
-		t.Fatalf("default mask = %#x, want ArchKinds %#x", rec.Kinds(), ArchKinds)
+	rec := NewRecorder(NewJSONLSink(&buf), 4)
+	var want []Event
+	for k := KindNone + 1; k < NumKinds; k++ {
+		e := Event{Cycle: int64(k), Kind: k, Tx: 1}
+		rec.Emit(e)
+		want = append(want, e)
 	}
-	if rec.Wants(KindHandoff) {
-		t.Error("default mask must exclude scheduler handoffs (not scheduler-portable)")
-	}
-	rec.Emit(Event{Kind: KindHandoff, A: 1})
-	rec.Emit(Event{Kind: KindCommit, Tx: 1})
 	rec.Flush()
-	evs, err := ReadEvents(bytes.NewReader(buf.Bytes()))
+	got, err := ReadEvents(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(evs) != 1 || evs[0].Kind != KindCommit {
-		t.Fatalf("mask filtering failed: got %+v", evs)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recorder dropped or reordered events:\ngot  %v\nwant %v", got, want)
 	}
-	if got := MaskOf(KindBegin, KindCommit); got != 1<<KindBegin|1<<KindCommit {
-		t.Fatalf("MaskOf = %#x", got)
+}
+
+func TestEventString(t *testing.T) {
+	for _, tc := range []struct {
+		e    Event
+		want string
+	}{
+		{Event{Cycle: 33, Core: 0, Kind: KindCommit, Tx: 1, A: 32},
+			"t=33 core=0 commit tx=1 block=0x0 a=32 b=0 c=0 d=0 e=0"},
+		{Event{Cycle: 14, Core: 1, Kind: KindAbort, Cause: CauseConflict, Block: -1, A: 1, B: 3, C: 13},
+			"t=14 core=1 abort cause=conflict tx=0 block=-0x1 a=1 b=3 c=13 d=0 e=0"},
+	} {
+		if got := tc.e.String(); got != tc.want {
+			t.Errorf("String() = %q, want %q", got, tc.want)
+		}
 	}
 }
 
@@ -119,7 +129,7 @@ func TestNilRecorderIsInert(t *testing.T) {
 	var rec *Recorder
 	rec.Emit(Event{Kind: KindCommit})
 	rec.Flush()
-	if rec.Err() != nil || rec.Wants(KindCommit) {
+	if rec.Err() != nil {
 		t.Fatal("nil recorder must be inert")
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
@@ -27,7 +28,7 @@ func Snapshot(img *mem.Image) []int64 {
 }
 
 // SimOut is one simulation's observable output: the Result, the final
-// memory words, and (optionally) the event trace.
+// memory words, and (optionally) the event trace as JSONL.
 type SimOut struct {
 	Res   *sim.Result
 	Img   []int64
@@ -46,7 +47,7 @@ func Exec(t testing.TB, p sim.Params, b *workloads.Bundle, trace bool, prep func
 	}
 	var tb bytes.Buffer
 	if trace {
-		m.TraceTo(&tb)
+		m.Record(telemetry.NewRecorder(telemetry.NewJSONLSink(&tb), 0))
 	}
 	if prep != nil {
 		prep(m)

@@ -16,7 +16,6 @@ package retcon
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -103,46 +102,24 @@ func Run(w Workload, cfg Config) (*Result, error) {
 
 // RunSeeded is Run with an explicit workload input seed.
 func RunSeeded(w Workload, cfg Config, seed int64) (*Result, error) {
-	return RunTraced(w, cfg, seed, nil)
+	return RunRecorded(w, cfg, seed, nil)
 }
 
-// RunTraced is RunSeeded with an optional per-event transactional trace
-// written to tw (begin/commit/abort/NACK/symbolic-loss/repair lines).
-// Tracing is exact, not sampled; use it on small machines.
-func RunTraced(w Workload, cfg Config, seed int64, tw io.Writer) (*Result, error) {
-	return run(w, cfg, seed, func(m *sim.Machine) {
-		if tw != nil {
-			m.TraceTo(tw)
-		}
-	})
-}
-
-// RunRecorded is RunSeeded with a structured event recorder attached:
-// every architectural decision selected by the recorder's kind mask is
-// emitted as a typed telemetry.Event (see internal/telemetry). The
-// recorded stream is a pure function of (workload, cfg, seed) — byte-
-// identical across schedulers — and the machine flushes the recorder
-// when the run ends; check rec.Err afterwards for sink failures. The
-// result additionally carries the scheduler-occupancy counters in
+// RunRecorded is RunSeeded with a structured event recorder attached
+// (nil records nothing): every architectural decision is emitted as a
+// typed telemetry.Event (see internal/telemetry). The recorded stream
+// is a pure function of (workload, cfg, seed) — byte-identical across
+// schedulers — and the machine flushes the recorder when the run ends;
+// check rec.Err afterwards for sink failures. The result additionally carries the scheduler-occupancy counters in
 // Sched (how the event scheduler split the run between its event loops
 // and the dense inner loop — all zeros under lockstep).
 func RunRecorded(w Workload, cfg Config, seed int64, rec *telemetry.Recorder) (*Result, error) {
-	return run(w, cfg, seed, func(m *sim.Machine) {
-		if rec != nil {
-			m.Record(rec)
-		}
-	})
-}
-
-// run is the shared build-simulate-verify path under Run, RunTraced and
-// RunRecorded; instrument is applied to the machine before it runs.
-func run(w Workload, cfg Config, seed int64, instrument func(*sim.Machine)) (*Result, error) {
 	bundle := w.Build(cfg.Cores, seed)
 	machine, err := sim.New(cfg, bundle.Mem, bundle.Programs)
 	if err != nil {
 		return nil, fmt.Errorf("retcon: %s: %w", w.Name(), err)
 	}
-	instrument(machine)
+	machine.Record(rec)
 	res, err := machine.Run()
 	if err != nil {
 		return nil, fmt.Errorf("retcon: %s: %w", w.Name(), err)

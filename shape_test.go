@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	retcon "repro"
+	"repro/internal/telemetry"
 )
 
 // These tests pin the paper's qualitative results (the "shape" of Figure
@@ -122,7 +123,7 @@ func TestShapeStructuresStaySmall(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name(), err)
 		}
-		if res.Sim.Totals().Overflows != 0 {
+		if res.Sim.Metrics.AbortCause[telemetry.CauseSpecOverflow] != 0 {
 			t.Errorf("%s: speculative-metadata overflow", w.Name())
 		}
 		t3 := res.Sim.Table3()

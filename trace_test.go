@@ -2,73 +2,60 @@ package retcon_test
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	retcon "repro"
+	"repro/internal/telemetry"
 )
 
-// TestRunTraced checks the trace facility: a contended RETCON run must
-// emit begin/commit lines and, once symbolic tracking engages, symbolic
-// release and repair lines.
-func TestRunTraced(t *testing.T) {
+// TestRunRecorded checks the recorded event stream against the run's own
+// counters: a contended RETCON run must record begin and commit events
+// and, once symbolic tracking engages, symbolic release and repair
+// events; there is one commit event per commit and one abort event per
+// abort of each cause; and recording must not perturb the simulation.
+func TestRunRecorded(t *testing.T) {
 	w, err := retcon.LookupWorkload("counter")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	res, err := retcon.RunTraced(w, cfg(4, retcon.ModeRetCon), 1, &buf)
+	rec := telemetry.NewRecorder(telemetry.NewBinarySink(&buf), 0)
+	res, err := retcon.RunRecorded(w, cfg(4, retcon.ModeRetCon), 1, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"begin", "commit", "release", "repair"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace missing %q events", want)
+	if err := rec.Err(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := telemetry.ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds [telemetry.NumKinds]int64
+	var causes [telemetry.NumCauses]int64
+	for _, e := range evs {
+		kinds[e.Kind]++
+		if e.Kind == telemetry.KindAbort {
+			causes[e.Cause]++
 		}
 	}
-	if int64(strings.Count(out, "commit")) != res.Sim.Totals().Commits {
-		t.Errorf("trace commit lines %d != commits %d", strings.Count(out, "commit"), res.Sim.Totals().Commits)
+	for _, k := range []telemetry.Kind{telemetry.KindBegin, telemetry.KindCommit, telemetry.KindRelease, telemetry.KindRepair} {
+		if kinds[k] == 0 {
+			t.Errorf("trace has no %s events", k)
+		}
 	}
-	// Tracing must not perturb the simulation.
+	if got, want := kinds[telemetry.KindCommit], res.Sim.Totals().Commits; got != want {
+		t.Errorf("trace has %d commit events, run has %d commits", got, want)
+	}
+	if causes != res.Sim.Metrics.AbortCause {
+		t.Errorf("abort events by cause %v != Metrics.AbortCause %v", causes, res.Sim.Metrics.AbortCause)
+	}
+	// Recording must not perturb the simulation.
 	plain, err := retcon.RunSeeded(w, cfg(4, retcon.ModeRetCon), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.Cycles != res.Cycles {
-		t.Errorf("tracing changed the run: %d vs %d cycles", res.Cycles, plain.Cycles)
-	}
-}
-
-// TestTraceSchedulerEquivalence: the event-driven scheduler skips idle
-// cycles but must trace every transactional event at the exact timestamp
-// the lockstep oracle does — the trace byte streams are identical.
-func TestTraceSchedulerEquivalence(t *testing.T) {
-	w, err := retcon.LookupWorkload("counter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces := make(map[retcon.SchedKind]string, 2)
-	cycles := make(map[retcon.SchedKind]int64, 2)
-	for _, kind := range []retcon.SchedKind{retcon.SchedLockstep, retcon.SchedEvent} {
-		c := cfg(4, retcon.ModeRetCon)
-		c.Sched = kind
-		var buf bytes.Buffer
-		res, err := retcon.RunTraced(w, c, 1, &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		traces[kind] = buf.String()
-		cycles[kind] = res.Cycles
-	}
-	if cycles[retcon.SchedLockstep] != cycles[retcon.SchedEvent] {
-		t.Errorf("cycle counts diverge: lockstep %d vs event %d",
-			cycles[retcon.SchedLockstep], cycles[retcon.SchedEvent])
-	}
-	if traces[retcon.SchedLockstep] == "" {
-		t.Fatal("empty trace")
-	}
-	if traces[retcon.SchedLockstep] != traces[retcon.SchedEvent] {
-		t.Error("trace output diverges between schedulers")
+		t.Errorf("recording changed the run: %d vs %d cycles", res.Cycles, plain.Cycles)
 	}
 }
