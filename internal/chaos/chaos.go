@@ -178,9 +178,6 @@ func (p *Plan) instrument(r sweep.Run, m *sim.Machine) {
 // on simulated state, so it renders identically on every execution.
 type PanicScheduler struct{ After int64 }
 
-// Name identifies the scheduler.
-func (s *PanicScheduler) Name() string { return "chaos-panic" }
-
 // Run steps until the panic cycle (or halts first, if After is beyond
 // the run).
 func (s *PanicScheduler) Run(m *sim.Machine) error {

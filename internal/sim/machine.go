@@ -78,7 +78,7 @@ type Machine struct {
 	// scheduler — so Results stay byte-identical across schedulers.
 	metrics MetricsAgg
 	// schedStats tracks how the event-driven scheduler split the run
-	// between its event loops and the dense inner loop. Deliberately NOT
+	// between its event loop and the dense inner loop. Deliberately NOT
 	// part of Result: it depends on the scheduler, and Results must not.
 	schedStats SchedStats
 
@@ -90,28 +90,17 @@ type Machine struct {
 	// wakes is the event scheduler's per-core wake table: one slot per
 	// core holding its next wake cycle (parked when none). Mid-cycle
 	// reschedules (remote aborts, barrier releases) overwrite the victim's
-	// slot and record the ID in pendingWakes so the wheel-based large-
-	// machine loop can adopt the new wake (the scan loop reads the table
-	// directly and just drains the list).
-	wakes        []int64
-	pendingWakes []int
-	// nextReady and minStall are the scan scheduler's dense-cycle fast
-	// path: the IDs already scheduled for Now+1, and a lower bound on the
-	// earliest timed wake (see runScan).
-	nextReady []int
-	minStall  int64
-	// ready, popped and live are the schedulers' reusable scratch lists
-	// (due list, wheel drain buffer, dense-phase live-core list): machine-
-	// owned so steady-state runs allocate nothing in the cycle loops. The
-	// live list holds pointers — the dense loop iterates it every cycle and
-	// must not pay an ID→Core lookup per core.
-	ready  []int
-	popped []int
-	live   []*Core
-	// wheel is the large-machine wake queue, kept across runs so its slot
-	// arrays are reused.
-	//retcon:reset-keep runWheel resets it in place on every entry
-	wheel *wakeWheel
+	// slot and queue the new wake through schedule.
+	wakes []int64
+	// wq is the event loop's wake queue of core masks (see wakeQueue),
+	// kept on the Machine so the loop allocates nothing.
+	//retcon:reset-keep runEvent rebuilds it from core state on every entry
+	wq wakeQueue
+	// live is the dense loop's reusable live-core list: machine-owned so
+	// steady-state runs allocate nothing in the cycle loops. It holds
+	// pointers — the dense loop iterates it every cycle and must not pay
+	// an ID→Core lookup per core.
+	live []*Core
 	// allCores holds every core ever constructed for this machine; Cores
 	// aliases its prefix, so a core-count shrink does not discard the
 	// higher cores' allocations for a later grow.
@@ -192,12 +181,7 @@ func (m *Machine) Reset(p Params, img *mem.Image, progs []*isa.Program) error {
 		m.wakes = make([]int64, p.Cores)
 	}
 	m.wakes = m.wakes[:p.Cores]
-	m.pendingWakes = m.pendingWakes[:0]
-	m.nextReady = m.nextReady[:0]
-	m.ready = m.ready[:0]
-	m.popped = m.popped[:0]
 	m.live = m.live[:0]
-	m.minStall = 0
 	m.Now = 0
 	m.tsCounter = 0
 	m.barrierArrived = 0
@@ -418,8 +402,7 @@ func (m *Machine) releaseBarrier() {
 			// release cycle, as lockstep would) before clearing the flag,
 			// and schedule the core for the next cycle.
 			m.settle(c, m.Now)
-			m.wakes[c.ID] = m.Now + 1
-			m.pendingWakes = append(m.pendingWakes, c.ID)
+			m.schedule(c.ID, m.Now+1)
 		}
 		c.barrierWait = false
 	}
@@ -503,13 +486,8 @@ func (m *Machine) abort(c *Core, blameBlock int64, cause telemetry.Cause) {
 	if m.lazyAttr && c.ID != m.execID {
 		// The backoff replaces whatever wake the victim had scheduled (it
 		// may end earlier than the stall it cuts short): overwrite its
-		// wake slot. The executing core reschedules itself after its turn.
-		w := c.stallUntil + 1
-		m.wakes[c.ID] = w
-		if w < m.minStall {
-			m.minStall = w
-		}
-		m.pendingWakes = append(m.pendingWakes, c.ID)
+		// wake. The executing core reschedules itself after its turn.
+		m.schedule(c.ID, c.stallUntil+1)
 	}
 }
 

@@ -104,7 +104,7 @@ func BenchmarkMachineReset(b *testing.B) {
 //
 // The static twin of this test is the hotpathalloc analyzer (run by
 // cmd/retcon-lint / make lint): the functions this budget exercises carry
-// //retcon:hotpath annotations — runScan, runWheel, runDense, settle
+// //retcon:hotpath annotations — runEvent, runDense, settle
 // (sched.go), Step, stepCore, chargeCycles (machine.go), memAccess,
 // coherentRequest (memory.go), commit, commitRepair, finishCommit
 // (commit.go) and Predictor.Tracks/find (htm/predictor.go) — so an

@@ -33,7 +33,7 @@ func TestResetEquivalence(t *testing.T) {
 		{"counter", sim.RetCon, 8, sim.SchedLockstep, 0},
 		{"labyrinth", sim.LazyVB, 4, sim.SchedEvent, 0},
 		{"counter", sim.Eager, 2, sim.SchedEvent, 16 << 10}, // cache geometry change
-		{"labyrinth", sim.RetCon, 32, sim.SchedEvent, 0},    // scan -> wheel crossover
+		{"labyrinth", sim.RetCon, 32, sim.SchedEvent, 0},    // core-count growth, 2 -> 32
 		{"genome", sim.RetCon, 32, sim.SchedEvent, 0},       // dense-phase hand-off path
 		{"counter", sim.Eager, 4, sim.SchedEvent, 0},        // back to the first config
 	}

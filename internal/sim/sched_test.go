@@ -58,16 +58,32 @@ func runBoth(t *testing.T, p Params, probe int64, build func() (*mem.Image, []*i
 
 // TestSchedulerEquivalenceCounter: the contended shared counter across
 // every mode and several machine sizes — stall-heavy (NACK retries, abort
-// backoffs, DRAM misses), so the time-skip path is exercised hard.
+// backoffs, DRAM misses), so the time-skip path is exercised hard. The
+// second row's 1500-cycle DRAM and 400-cycle abort backoff put most
+// stalls beyond the wake queue's wheel horizon, so its far set is filled,
+// drained at its minimum and refilled, also by remote aborts of cores
+// already waiting there; 33 cores is the first size past a half-word
+// mask, 64 sets every mask bit.
 func TestSchedulerEquivalenceCounter(t *testing.T) {
-	for _, mode := range []Mode{Eager, LazyVB, RetCon} {
-		for _, cores := range []int{1, 2, 3, 8, 16} {
-			res := runBoth(t, testParams(cores, mode), -1, func() (*mem.Image, []*isa.Program) {
-				img, _, progs := buildCounter(cores, 6, 2, 10)
-				return img, progs
-			})
-			if got, want := res.Totals().Commits, int64(cores*6); got != want {
-				t.Errorf("mode=%v cores=%d: commits=%d want %d", mode, cores, got, want)
+	for _, row := range []struct {
+		sizes         []int
+		ops           int
+		dram, backoff int64
+	}{
+		{[]int{1, 2, 3, 8, 16}, 6, 100, 24}, // DefaultParams latencies
+		{[]int{2, 8, 33, 64}, 3, 1500, 400},
+	} {
+		for _, mode := range []Mode{Eager, LazyVB, RetCon} {
+			for _, cores := range row.sizes {
+				p := testParams(cores, mode)
+				p.DRAM, p.AbortBackoffBase = row.dram, row.backoff
+				res := runBoth(t, p, -1, func() (*mem.Image, []*isa.Program) {
+					img, _, progs := buildCounter(cores, row.ops, 2, 10)
+					return img, progs
+				})
+				if got, want := res.Totals().Commits, int64(cores*row.ops); got != want {
+					t.Errorf("mode=%v cores=%d dram=%d: commits=%d want %d", mode, cores, row.dram, got, want)
+				}
 			}
 		}
 	}

@@ -104,12 +104,12 @@ type MetricsAgg struct {
 }
 
 // SchedStats describes how the event-driven scheduler split a run
-// between its event loops (scan or wheel) and the dense lockstep-like
+// between its event loop and the dense lockstep-like
 // inner loop. It lives on the Machine, not the Result: it is a
 // property of the scheduler, and Results are scheduler-invariant by
 // contract. Under the lockstep scheduler it is all zeros.
 type SchedStats struct {
-	EventCycles int64 // simulated cycles covered by the scan/wheel event loops
+	EventCycles int64 // simulated cycles covered by the event loop
 	DenseCycles int64 // simulated cycles covered by the dense inner loop
 	Handoffs    int64 // event->dense mode switches
 }
