@@ -184,7 +184,7 @@ func TestBranchConstraintNotEqualFold(t *testing.T) {
 // the int64 extremes; entries marked exact additionally require that no
 // valid root is dropped.
 func TestBranchConstraintOverflowEdges(t *testing.T) {
-	plus := func(inc int64) SymVal { return Sym(0x80).AddConst(inc) }          // root + inc
+	plus := func(inc int64) SymVal { return Sym(0x80).AddConst(inc) }           // root + inc
 	minus := func(inc int64) SymVal { return Sym(0x80).Negate().AddConst(inc) } // -root + inc
 	cases := []struct {
 		name  string

@@ -31,18 +31,22 @@ type layout struct {
 
 func (l *layout) wordAddr(i int) int64 { return l.sharedBase + int64(i)*mem.WordSize }
 
-// imageBytes sizes the memory image: the fuzz layouts are tiny, and a
-// small image keeps per-run setup cheap across many seeds.
-const imageBytes = 1 << 16
+// wordBlocks is the number of cache blocks n block-aligned words span.
+func wordBlocks(n int) int64 { return int64(n+mem.WordsPerBlock-1) / mem.WordsPerBlock }
 
 // Compile lowers the program to an initial memory image and one assembled
 // ISA program per core. It validates first, so a malformed Prog (e.g. a
 // hostile corpus file) fails here rather than panicking mid-simulation.
+//
+// The image holds exactly the layout: the reserved block 0, the shared
+// words, the table and one private block per core, in bump-allocation
+// order. An access outside the layout is out of the image and fails.
 func Compile(p *Prog) (*mem.Image, []*isa.Program, *layout, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, nil, err
 	}
-	img := mem.NewImage(imageBytes)
+	blocks := 1 + wordBlocks(len(p.Words)) + wordBlocks(p.TableSlots) + int64(p.Cores)*wordBlocks(privWords)
+	img := mem.NewImage(blocks * mem.BlockSize)
 	lay := &layout{sharedBase: img.AllocBlocks(int64(len(p.Words)) * mem.WordSize)}
 	for i, w := range p.Words {
 		img.Write64(lay.wordAddr(i), w.Init)

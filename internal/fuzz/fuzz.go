@@ -9,9 +9,10 @@
 // configuration is run under three oracles:
 //
 //  1. Scheduler differential: the lockstep reference scheduler and the
-//     event-driven time-skip scheduler must produce byte-identical
-//     Results, traces and final memory images (PR 2's equivalence claim,
-//     on generated rather than hand-written inputs).
+//     event-driven time-skip scheduler must produce equal Results, equal
+//     event traces and byte-identical final memory images (the
+//     schedulers' equivalence claim, on generated rather than
+//     hand-written inputs).
 //  2. Serial-HTM vs RETCON: the eager baseline, the lazy-vb ablation and
 //     full RETCON must all commit the statically-expected final shared
 //     state (counters sum, byte lanes last-write, hash table contains

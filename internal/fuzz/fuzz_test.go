@@ -206,3 +206,16 @@ func FuzzDifferential(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkCheck is the per-layer cost of a fuzz pass: Generate plus
+// Check over a fixed block of 200 generator seeds per op.
+func BenchmarkCheck(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		for seed := int64(0); seed < 200; seed++ {
+			if d := Check(Generate(seed, GenOptions{}), Options{}); d != nil {
+				b.Fatal(d)
+			}
+		}
+	}
+}

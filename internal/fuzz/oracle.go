@@ -1,11 +1,12 @@
 package fuzz
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 
+	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -50,37 +51,59 @@ func (o Options) maxCycles() int64 {
 }
 
 // Check runs the program under every oracle and returns the first
-// divergence, or nil when all oracles hold. Per mode (eager, lazy-vb,
-// RETCON) it simulates under both schedulers with the replay oracle
-// installed, compares the two runs byte-for-byte, then checks statistics
-// invariants and the statically-expected final shared state.
+// divergence, or nil when all oracles hold. It compiles the program once;
+// per mode (eager, lazy-vb, RETCON) it simulates that compile under both
+// schedulers with the replay oracle installed, each run on its own clone
+// of the initial image, and requires equal Results, equal event traces
+// and equal final images. It then checks statistics invariants and the
+// statically-expected final shared state.
 func Check(p *Prog, o Options) *Divergence {
 	ex, err := p.expectations()
 	if err != nil {
 		return &Divergence{Seed: p.Seed, Oracle: OracleRun, Detail: err.Error()}
 	}
+	img, progs, lay, err := Compile(p)
+	if err != nil {
+		return &Divergence{Seed: p.Seed, Oracle: OracleRun, Detail: err.Error()}
+	}
+	c := &checker{p: p, ex: ex, o: o, img: img, progs: progs, lay: lay,
+		lockTrace: newEventLog(), evTrace: newEventLog()}
 	for _, mode := range []sim.Mode{sim.Eager, sim.LazyVB, sim.RetCon} {
-		if d := checkMode(p, ex, mode, o); d != nil {
+		if d := c.checkMode(mode); d != nil {
 			return d
 		}
 	}
 	return nil
 }
 
+// checker holds one program's single compile and the per-scheduler trace
+// buffers that its six runs share.
+type checker struct {
+	p     *Prog
+	ex    *expect
+	o     Options
+	img   *mem.Image     // initial image; every run simulates on a Clone
+	progs []*isa.Program // read-only during simulation, shared by all runs
+	lay   *layout
+
+	// One event log per scheduler, reused across the three modes.
+	lockTrace, evTrace *eventLog
+}
+
 type runOut struct {
 	res   *sim.Result
-	trace []byte
+	trace []telemetry.Event
 	img   *mem.Image
 	err   error
 }
 
-func checkMode(p *Prog, ex *expect, mode sim.Mode, o Options) *Divergence {
+func (c *checker) checkMode(mode sim.Mode) *Divergence {
 	div := func(oracle, format string, args ...interface{}) *Divergence {
-		return &Divergence{Seed: p.Seed, Oracle: oracle, Mode: mode.String(), Detail: fmt.Sprintf(format, args...)}
+		return &Divergence{Seed: c.p.Seed, Oracle: oracle, Mode: mode.String(), Detail: fmt.Sprintf(format, args...)}
 	}
 
-	lock := runSched(p, mode, sim.SchedLockstep, o)
-	ev := runSched(p, mode, sim.SchedEvent, o)
+	lock := c.runSched(mode, sim.SchedLockstep, c.lockTrace)
+	ev := c.runSched(mode, sim.SchedEvent, c.evTrace)
 	for _, r := range []*runOut{lock, ev} {
 		if _, isReplay := r.err.(*replayErr); isReplay {
 			return div(OracleReplay, "%v", r.err.(*replayErr).inner)
@@ -98,8 +121,8 @@ func checkMode(p *Prog, ex *expect, mode sim.Mode, o Options) *Divergence {
 	if !reflect.DeepEqual(lock.res, ev.res) {
 		return div(OracleSched, "results diverge:\nlockstep: %+v\nevent:    %+v", lock.res, ev.res)
 	}
-	if !bytes.Equal(lock.trace, ev.trace) {
-		return div(OracleSched, "traces diverge (lockstep %d bytes, event %d bytes):%s",
+	if !slices.Equal(lock.trace, ev.trace) {
+		return div(OracleSched, "traces diverge (lockstep %d events, event %d events):%s",
 			len(lock.trace), len(ev.trace), firstTraceDiff(lock.trace, ev.trace))
 	}
 	if !lock.img.Equal(ev.img) {
@@ -108,11 +131,11 @@ func checkMode(p *Prog, ex *expect, mode sim.Mode, o Options) *Divergence {
 			w, lock.img.Read64(w), ev.img.Read64(w))
 	}
 
-	if d := checkStats(p, ex, mode, ev.res); d != nil {
+	if d := checkStats(c.p, c.ex, mode, ev.res); d != nil {
 		d.Mode = mode.String()
 		return d
 	}
-	if d := checkMemory(p, ex, ev.img); d != nil {
+	if d := checkMemory(c.p, c.ex, c.lay, ev.img); d != nil {
 		d.Mode = mode.String()
 		return d
 	}
@@ -126,20 +149,19 @@ type replayErr struct{ inner error }
 func (e *replayErr) Error() string { return e.inner.Error() }
 
 // machines recycles simulators across the harness's runs (6 per checked
-// program: 3 modes x 2 schedulers, times however many seeds a campaign
-// sweeps). Reset guarantees reuse cannot change any oracle's verdict.
+// program, all from its one compile: 3 modes x 2 schedulers, times
+// however many seeds a campaign sweeps). Reset guarantees reuse cannot
+// change any oracle's verdict.
 var machines sim.MachinePool
 
-func runSched(p *Prog, mode sim.Mode, kind sim.SchedKind, o Options) *runOut {
-	img, progs, _, err := Compile(p)
-	if err != nil {
-		return &runOut{err: err}
-	}
+func (c *checker) runSched(mode sim.Mode, kind sim.SchedKind, trace *eventLog) *runOut {
+	p := c.p
+	img := c.img.Clone()
 	params := sim.DefaultParams()
 	params.Cores = p.Cores
 	params.Mode = mode
 	params.Sched = kind
-	params.MaxCycles = o.maxCycles()
+	params.MaxCycles = c.o.maxCycles()
 	if p.IVB > 0 {
 		params.Retcon.IVBEntries = p.IVB
 	}
@@ -149,7 +171,7 @@ func runSched(p *Prog, mode sim.Mode, kind sim.SchedKind, o Options) *runOut {
 	if p.SSB > 0 {
 		params.Retcon.SSBEntries = p.SSB
 	}
-	m, err := machines.Get(params, img, progs)
+	m, err := machines.Get(params, img, c.progs)
 	if err != nil {
 		return &runOut{err: err}
 	}
@@ -159,13 +181,12 @@ func runSched(p *Prog, mode sim.Mode, kind sim.SchedKind, o Options) *runOut {
 	// shared block plus the core's private block) fits the machine's
 	// speculative capacity. Generated layouts sit far below Table 1's
 	// 1280 blocks; this guards the invariant if either side ever changes.
-	blocks := func(words int) int { return (words + mem.WordsPerBlock - 1) / mem.WordsPerBlock }
-	if fp := blocks(len(p.Words)) + blocks(p.TableSlots) + 1; fp > m.Cores[0].Tx.Spec.Cap() {
+	if fp := wordBlocks(len(p.Words)) + wordBlocks(p.TableSlots) + 1; fp > int64(m.Cores[0].Tx.Spec.Cap()) {
 		return &runOut{err: fmt.Errorf("fuzz: footprint %d blocks exceeds speculative capacity %d", fp, m.Cores[0].Tx.Spec.Cap())}
 	}
-	trace := &cappedBuf{limit: traceCapBytes}
-	m.Record(telemetry.NewRecorder(telemetry.NewBinarySink(trace), 0))
-	if !o.SkipReplay {
+	trace.reset()
+	m.Record(trace.rec)
+	if !c.o.SkipReplay {
 		inner := ReplayOracle()
 		m.OnCommit(func(mm *sim.Machine, cc *sim.Core) error {
 			if err := inner(mm, cc); err != nil {
@@ -175,34 +196,55 @@ func runSched(p *Prog, mode sim.Mode, kind sim.SchedKind, o Options) *runOut {
 		})
 	}
 	res, err := m.Run()
-	return &runOut{res: res, trace: trace.buf.Bytes(), img: img, err: err}
+	return &runOut{res: res, trace: trace.evs, img: img, err: err}
 }
 
-// traceCapBytes bounds the in-memory event trace per run. Generated
-// programs emit a few KB; the cap only matters for pathological runs
-// (e.g. a livelock spinning until the watchdog), where an unbounded
-// buffer would multiply across the worker pool into real memory
-// pressure. Both schedulers emit identical event streams, so comparing
-// equal-length prefixes preserves the oracle: a divergence inside the
-// cap is caught, and the cap is far above any healthy run's output.
-const traceCapBytes = 8 << 20
+// traceCapEvents bounds the recorded event trace per run: 8 MiB of
+// 72-byte events. Generated programs emit a few thousand events; the cap
+// only matters for pathological runs (e.g. a livelock spinning until the
+// watchdog), where an unbounded buffer would multiply across the worker
+// pool into real memory pressure. Both schedulers emit identical event
+// streams in identical batches, so comparing the kept prefixes preserves
+// the oracle: a divergence inside the cap is caught, and the cap is far
+// above any healthy run's output.
+const traceCapEvents = (8 << 20) / 72
 
-// cappedBuf is an io.Writer that keeps whole writes until the first
-// one that would take it past limit bytes, and discards that write and
-// every later one. The binary sink writes whole records per call, so
-// the kept prefix always decodes.
-type cappedBuf struct {
-	buf   bytes.Buffer
+// recorderRing is the ring of an eventLog's recorder. Generated programs
+// emit a few thousand events, so a small ring only means more, cheaper
+// flushes into the log.
+const recorderRing = 256
+
+// eventLog is a telemetry.Sink that keeps whole batches until the first
+// one that would take it past limit events, and drops that batch and
+// every later one.
+type eventLog struct {
+	evs   []telemetry.Event
 	limit int
+	full  bool
+	// rec records into this log. Machine.Run flushes it on exit, so its
+	// ring is empty again before the next run.
+	rec *telemetry.Recorder
 }
 
-func (c *cappedBuf) Write(p []byte) (int, error) {
-	if c.buf.Len()+len(p) <= c.limit {
-		c.buf.Write(p)
-	} else {
-		c.limit = 0 // nothing fits after the first dropped write
+func newEventLog() *eventLog {
+	l := &eventLog{limit: traceCapEvents}
+	l.rec = telemetry.NewRecorder(l, recorderRing)
+	return l
+}
+
+// reset empties the log for the next run, keeping its buffer.
+func (l *eventLog) reset() {
+	l.evs = l.evs[:0]
+	l.full = false
+}
+
+func (l *eventLog) WriteEvents(evs []telemetry.Event) error {
+	if l.full || len(l.evs)+len(evs) > l.limit {
+		l.full = true
+		return nil
 	}
-	return len(p), nil
+	l.evs = append(l.evs, evs...)
+	return nil
 }
 
 // checkStats enforces the statistics invariants on one run's result.
@@ -275,13 +317,9 @@ func checkStats(p *Prog, ex *expect, mode sim.Mode, res *sim.Result) *Divergence
 
 // checkMemory compares the final shared state against the static model:
 // counter sums, lane last-writes and hash-table membership.
-func checkMemory(p *Prog, ex *expect, img *mem.Image) *Divergence {
+func checkMemory(p *Prog, ex *expect, lay *layout, img *mem.Image) *Divergence {
 	div := func(format string, args ...interface{}) *Divergence {
 		return &Divergence{Seed: p.Seed, Oracle: OracleMemory, Detail: fmt.Sprintf(format, args...)}
-	}
-	_, _, lay, err := Compile(p) // layout only; deterministic and cheap
-	if err != nil {
-		return div("relayout: %v", err)
 	}
 	for i, want := range ex.counters {
 		if got := img.Read64(lay.wordAddr(i)); got != want {
@@ -310,21 +348,13 @@ func checkMemory(p *Prog, ex *expect, img *mem.Image) *Divergence {
 	return nil
 }
 
-// firstTraceDiff decodes both binary traces and renders the first
-// differing event for a readable divergence report.
-func firstTraceDiff(a, b []byte) string {
-	ea, err := telemetry.ReadEvents(bytes.NewReader(a))
-	if err != nil {
-		return fmt.Sprintf("\nlockstep trace: %v", err)
-	}
-	eb, err := telemetry.ReadEvents(bytes.NewReader(b))
-	if err != nil {
-		return fmt.Sprintf("\nevent trace: %v", err)
-	}
-	for i := 0; i < len(ea) && i < len(eb); i++ {
-		if ea[i] != eb[i] {
-			return fmt.Sprintf("\nevent %d:\nlockstep: %s\nevent:    %s", i, ea[i], eb[i])
+// firstTraceDiff renders the first differing event of two traces for a
+// readable divergence report.
+func firstTraceDiff(a, b []telemetry.Event) string {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return fmt.Sprintf("\nevent %d:\nlockstep: %s\nevent:    %s", i, a[i], b[i])
 		}
 	}
-	return fmt.Sprintf("\none trace is a prefix of the other (%d vs %d events)", len(ea), len(eb))
+	return fmt.Sprintf("\none trace is a prefix of the other (%d vs %d events)", len(a), len(b))
 }

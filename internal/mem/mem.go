@@ -12,6 +12,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Cache-block geometry (Table 1: 64-byte blocks).
@@ -49,6 +50,11 @@ func NewImage(size int64) *Image {
 	size = (size + BlockSize - 1) &^ (BlockSize - 1)
 	return &Image{data: make([]byte, size), brk: BlockSize}
 }
+
+// Clone returns an independent copy of the image: the same bytes and the
+// same allocation break. A harness that runs one compiled layout several
+// times simulates each run on its own clone of the initial image.
+func (m *Image) Clone() *Image { return &Image{data: slices.Clone(m.data), brk: m.brk} }
 
 // Size returns the total size of the image in bytes.
 func (m *Image) Size() int64 { return int64(len(m.data)) }

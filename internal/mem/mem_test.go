@@ -156,3 +156,21 @@ func TestBlocks(t *testing.T) {
 		t.Errorf("minimum image has %d blocks, want 2", tiny.Blocks())
 	}
 }
+
+func TestClone(t *testing.T) {
+	m := NewImage(1 << 12)
+	a := m.AllocBlocks(16)
+	m.Write64(a, 7)
+	c := m.Clone()
+	if !c.Equal(m) {
+		t.Fatal("a clone must equal its original")
+	}
+	c.Write64(a, 9)
+	if m.Read64(a) != 7 {
+		t.Fatal("writing a clone changed the original")
+	}
+	// The clone continues the original's allocation break.
+	if got, want := c.AllocBlocks(8), m.AllocBlocks(8); got != want {
+		t.Errorf("clone allocated at %#x, original at %#x", got, want)
+	}
+}
