@@ -27,9 +27,6 @@ type Cache struct {
 	lru       []int64 // last-use stamps, parallel to tags
 	stamp     int64
 	resetBase int64 // entries with lru < resetBase are invalid (pre-reset)
-
-	Hits   int64
-	Misses int64
 }
 
 // New creates a cache of sizeBytes capacity with the given associativity
@@ -47,13 +44,10 @@ func New(sizeBytes int64, ways int, blockSize int64) *Cache {
 	return c
 }
 
-// Reset empties the cache and zeroes its counters, keeping the tag arrays
-// (machine reuse across runs). It is O(1): the validity watermark moves
-// above every live stamp.
+// Reset empties the cache, keeping the tag arrays (machine reuse across
+// runs). It is O(1): the validity watermark moves above every live stamp.
 func (c *Cache) Reset() {
 	c.resetBase = c.stamp + 1
-	c.Hits = 0
-	c.Misses = 0
 }
 
 func (c *Cache) set(block int64) int64 { return block & (c.sets - 1) }
@@ -73,8 +67,8 @@ func (c *Cache) Contains(block int64) bool {
 	return false
 }
 
-// Lookup reports whether the block is present, updating LRU and hit/miss
-// counters but never inserting.
+// Lookup reports whether the block is present, updating LRU on a hit but
+// never inserting.
 func (c *Cache) Lookup(block int64) bool {
 	c.stamp++
 	base := c.set(block) * int64(c.ways)
@@ -82,11 +76,9 @@ func (c *Cache) Lookup(block int64) bool {
 		i := base + int64(w)
 		if c.tags[i] == block && c.lru[i] >= c.resetBase {
 			c.lru[i] = c.stamp
-			c.Hits++
 			return true
 		}
 	}
-	c.Misses++
 	return false
 }
 
@@ -104,7 +96,6 @@ func (c *Cache) Access(block int64) (hit bool, victim int64) {
 		i := base + int64(w)
 		if c.tags[i] == block && c.lru[i] >= c.resetBase {
 			c.lru[i] = c.stamp
-			c.Hits++
 			return true, -1
 		}
 		if !c.valid(i) {
@@ -113,7 +104,6 @@ func (c *Cache) Access(block int64) (hit bool, victim int64) {
 			victimIdx, victimLRU = i, c.lru[i]
 		}
 	}
-	c.Misses++
 	victim = -1
 	if c.valid(victimIdx) {
 		victim = c.tags[victimIdx]

@@ -55,13 +55,16 @@ func TestSetIndexing(t *testing.T) {
 	}
 }
 
-func TestHitMissCounters(t *testing.T) {
+func TestHitMissSequence(t *testing.T) {
 	c := New(1<<10, 4, 64)
-	c.Access(1)
-	c.Access(1)
-	c.Lookup(2)
-	if c.Hits != 1 || c.Misses != 2 {
-		t.Errorf("hits=%d misses=%d, want 1/2", c.Hits, c.Misses)
+	if hit, _ := c.Access(1); hit {
+		t.Error("first access must miss")
+	}
+	if hit, _ := c.Access(1); !hit {
+		t.Error("second access must hit")
+	}
+	if c.Lookup(2) {
+		t.Error("lookup of an absent block must miss")
 	}
 }
 

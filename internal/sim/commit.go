@@ -155,6 +155,7 @@ func (m *Machine) finishCommit(c *Core, repairLat, txCycles int64) {
 		}
 	}
 	c.Tx.Commit()
+	m.wakeWaiters(c.ID)
 	c.Ret.Reset()
 	c.pendingTS = 0
 	c.Stats.Commits++

@@ -39,11 +39,7 @@ func (m *Machine) exec(c *Core) {
 		val, sym, lat, st := m.load(c, addr, in.Size)
 		switch st {
 		case accessNack:
-			if c.nackWaitSince == 0 {
-				c.nackWaitSince = m.Now
-			}
-			c.addCycle(CatConflict)
-			c.setStall(m.Now+m.P.NackRetry-1, CatConflict)
+			m.nacked(c)
 		case accessAbort:
 			// PC and stall already set by abort.
 		default:
@@ -70,11 +66,7 @@ func (m *Machine) exec(c *Core) {
 		lat, st := m.store(c, addr, in.Size, c.Regs[in.Rs2], dataSym)
 		switch st {
 		case accessNack:
-			if c.nackWaitSince == 0 {
-				c.nackWaitSince = m.Now
-			}
-			c.addCycle(CatConflict)
-			c.setStall(m.Now+m.P.NackRetry-1, CatConflict)
+			m.nacked(c)
 		case accessAbort:
 		default:
 			if c.nackWaitSince != 0 {
@@ -131,6 +123,17 @@ func (m *Machine) exec(c *Core) {
 	default:
 		panic(fmt.Sprintf("sim: core %d unknown opcode %v at pc %d", c.ID, in.Op, c.PC))
 	}
+}
+
+// nacked stalls core c, whose load or store was NACKed this cycle, until
+// its retry NackRetry cycles later.
+func (m *Machine) nacked(c *Core) {
+	if c.nackWaitSince == 0 {
+		c.nackWaitSince = m.Now
+	}
+	c.nackAt = m.Now
+	c.addCycle(CatConflict)
+	c.setStall(m.Now+m.P.NackRetry-1, CatConflict)
 }
 
 // setReg writes a register, discarding writes to the zero register.

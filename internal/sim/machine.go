@@ -47,6 +47,14 @@ type Core struct {
 	// attributes eagerly and ignores it.
 	attributedUntil int64
 
+	// nackAt is the cycle of the core's last executed NACK; its retries
+	// fall at nackAt + k·NackRetry. parkedOn is the core whose transaction
+	// the event loop has parked this one on (-1 when not parked): a parked
+	// core is woken when that transaction ends, and the retries it skipped
+	// meanwhile are charged in bulk (see wakeWaiters).
+	nackAt   int64
+	parkedOn int
+
 	// nackWaitSince is the cycle the core's current pending access was
 	// first NACKed (0 when no NACK wait is in progress); the eventual
 	// success observes the total wait into the NackWait histogram, an
@@ -69,6 +77,8 @@ type Machine struct {
 	barrierArrived int
 	//retcon:reset-keep per-request scratch; coherentRequest truncates it at every use
 	targetsBuf []int
+	//retcon:reset-keep per-request scratch; coherentRequest writes it before returning a NACK
+	nackHolder int // the core whose transaction vetoed the last NACKed request
 	// rec is the attached structured event recorder (nil when recording
 	// is off — the only cost the disabled path pays is that nil check).
 	rec *telemetry.Recorder
@@ -96,6 +106,13 @@ type Machine struct {
 	// kept on the Machine so the loop allocates nothing.
 	//retcon:reset-keep runEvent rebuilds it from core state on every entry
 	wq wakeQueue
+	// waiters holds, per core, the mask of cores parked on its
+	// transaction (see wakeWaiters). Only runEvent parks cores, and a
+	// hand-off to the dense loop unparks them all.
+	waiters []uint64
+	// dueNow collects waiters woken for the current cycle after the
+	// executing core's turn; runEvent merges it into the due mask.
+	dueNow uint64
 	// live is the dense loop's reusable live-core list: machine-owned so
 	// steady-state runs allocate nothing in the cycle loops. It holds
 	// pointers — the dense loop iterates it every cycle and must not pay
@@ -181,6 +198,12 @@ func (m *Machine) Reset(p Params, img *mem.Image, progs []*isa.Program) error {
 		m.wakes = make([]int64, p.Cores)
 	}
 	m.wakes = m.wakes[:p.Cores]
+	if cap(m.waiters) < p.Cores {
+		m.waiters = make([]uint64, p.Cores)
+	}
+	m.waiters = m.waiters[:p.Cores]
+	clear(m.waiters)
+	m.dueNow = 0
 	m.live = m.live[:0]
 	m.Now = 0
 	m.tsCounter = 0
@@ -243,6 +266,8 @@ func (c *Core) resetFor(prog *isa.Program, specCap int, retCfg core.Config, p Pa
 	c.pendingTS = 0
 	c.nackProbeValid = false
 	c.nackWaitSince = 0
+	c.nackAt = 0
+	c.parkedOn = -1
 	c.halted = false
 	c.barrierWait = false
 	c.stallUntil = 0
@@ -452,12 +477,13 @@ func (m *Machine) abort(c *Core, blameBlock int64, cause telemetry.Cause) {
 		// cycle — a victim with a smaller ID was already stepped (its current
 		// cycle went to the old category, and into the accumulators about to
 		// be reattributed), a larger one was not (its current cycle will fall
-		// under the conflict stall set below).
-		if c.ID < m.execID {
-			m.settle(c, m.Now)
-		} else {
-			m.settle(c, m.Now-1)
+		// under the conflict stall set below). A victim parked on a NACK
+		// is charged the retries lockstep ran up to that same point.
+		upTo := m.steppedThrough(c.ID)
+		if c.parkedOn >= 0 {
+			m.unpark(c, upTo)
 		}
+		m.settle(c, upTo)
 	}
 	// wasted is the work this abort throws away — exactly the cycles the
 	// next lines reattribute to the conflict category.
@@ -472,6 +498,7 @@ func (m *Machine) abort(c *Core, blameBlock int64, cause telemetry.Cause) {
 	c.Tx.Aborts++
 	c.Stats.Aborts++
 	c.nackWaitSince = 0 // any NACK wait in progress dies with the attempt
+	m.wakeWaiters(c.ID)
 	m.metrics.AbortCause[cause]++
 	m.metrics.AbortWaste.Observe(wasted)
 	if blameBlock >= 0 {

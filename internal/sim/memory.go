@@ -65,6 +65,7 @@ func (m *Machine) coherentRequest(c *Core, block int64, isWrite, allowNack bool)
 		m.observeConflict(c, block)
 		if allowNack {
 			c.Stats.Nacks++
+			m.nackHolder = h
 			if m.rec != nil {
 				m.rec.Emit(telemetry.Event{Cycle: m.Now, Core: int32(c.ID), Kind: telemetry.KindNack, Block: block, A: int64(h)})
 			}
@@ -120,10 +121,13 @@ func olderWins(c, h *Core) bool {
 // identical access, and a miss cannot become a hit while the core is
 // stalled — only the core's own fills insert into its private hierarchy —
 // so re-walking both cache levels on every retry would burn time on
-// exactly the conflict-heavy runs the event scheduler targets. Probes
-// that hit are never memoized (their LRU-stamp updates are architectural
-// input to later victim choices); a skipped miss-probe touches no LRU
-// state, so replaying it is unobservable.
+// conflict-heavy runs. The event scheduler parks unrecorded eager NACK
+// waits and skips their retries (see unpark), so the memo serves the
+// first retry after a wake there, and every retry in recorded runs,
+// symbolic-mode runs and under the other loops. Probes that hit are never
+// memoized (their LRU-stamp updates are architectural input to later
+// victim choices); a skipped miss-probe touches no LRU state, so
+// replaying it is unobservable.
 //
 //retcon:hotpath every load and store funnels through here
 func (m *Machine) memAccess(c *Core, block int64, isWrite, setSpec, allowNack bool) (int64, accessStatus) {

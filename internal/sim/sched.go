@@ -105,6 +105,19 @@ func (lockstepSched) Run(m *Machine) error {
 // busy/other accumulators that abort reattribution subtracts, and the
 // core-ID-order tie-breaks within a cycle.
 //
+// A NACK wait is a wake condition too. Lockstep retries a NACKed access
+// every NackRetry cycles, and each retry is an identical NACK until the
+// vetoing holder's transaction ends (see unpark for why). So in eager
+// mode with no recorder attached, a NACKed core parks on the holder
+// (Machine.waiters) instead of retrying, and the holder's commit or
+// abort wakes it at the retry slot where lockstep would first see the
+// release (wakeWaiters). The retries it skipped are charged in bulk, one
+// instruction and one NACK each, as settle charges skipped stall cycles.
+// Elsewhere a retry is observable — LazyVB and RetCon train the predictor
+// on every NACK, which can change the retry's path, and a recorder logs
+// each NACK at its own cycle — so those waits retry as lockstep does. A remote abort of a parked core, and a hand-off to the
+// dense loop, unpark it first.
+//
 // Bookkeeping: every core has exactly one wake time, held in the dense
 // Machine.wakes array indexed by core ID (rewritten in place by mid-cycle
 // reschedules — remote aborts, barrier releases — so there are no stale
@@ -160,20 +173,28 @@ func (eventSched) Run(m *Machine) error {
 	if m.interrupted.Load() {
 		return m.interruptedErr()
 	}
+	// NACKed cores park only where a skipped retry is unobservable (see
+	// the eventSched doc).
+	park := m.P.Mode == Eager && m.rec == nil
 	for {
 		spanStart := m.Now
-		done, err := m.runEvent()
+		done, err := m.runEvent(park)
 		m.schedStats.EventCycles += m.Now - spanStart
 		if done || err != nil {
 			return err
 		}
-		// The event loop detected a dense phase. Settle every live core's
-		// lazy attribution through the current cycle (each is either fully
-		// attributed — it executed this cycle — or mid-wait with its wait
-		// category still pending, exactly what settle charges), then run
-		// eagerly attributed dense cycles until the phase ends.
+		// The event loop detected a dense phase. Unpark every NACK waiter
+		// (charging its retries through the current cycle and stalling it
+		// to its next slot), settle every live core's lazy attribution
+		// through the current cycle (each is either fully attributed — it
+		// executed this cycle — or mid-wait with its wait category still
+		// pending, exactly what settle charges), then run eagerly
+		// attributed dense cycles until the phase ends.
 		m.schedStats.Handoffs++
 		for _, c := range m.Cores {
+			if c.parkedOn >= 0 {
+				m.unpark(c, m.Now)
+			}
 			if !c.halted {
 				m.settle(c, m.Now)
 			}
@@ -295,7 +316,7 @@ func (m *Machine) runDense() (done bool, err error) {
 // to runDense.
 //
 //retcon:hotpath per-cycle event loop; see TestAllocsPerCycleRegression
-func (m *Machine) runEvent() (done bool, err error) {
+func (m *Machine) runEvent(park bool) (done bool, err error) {
 	m.wq = wakeQueue{farMin: parked}
 	q := &m.wq
 	halted := 0
@@ -368,6 +389,8 @@ func (m *Machine) runEvent() (done bool, err error) {
 			c.attributedUntil = m.Now
 			m.execID = id
 			m.exec(c)
+			due |= m.dueNow // waiters woken for this cycle, all above id
+			m.dueNow = 0
 			winExec++
 			switch {
 			case c.halted:
@@ -375,6 +398,12 @@ func (m *Machine) runEvent() (done bool, err error) {
 				wakes[id] = parked
 			case c.barrierWait:
 				wakes[id] = parked // woken by the release rescheduling it
+			case park && c.nackAt == m.Now:
+				// NACKed: wait on the vetoing transaction instead of
+				// retrying; wakeWaiters reschedules the core when it ends.
+				c.parkedOn = m.nackHolder
+				m.waiters[m.nackHolder] |= 1 << id
+				wakes[id] = parked
 			case c.stallUntil > m.Now:
 				m.schedule(id, c.stallUntil+1)
 			default:
@@ -407,6 +436,65 @@ func (m *Machine) runEvent() (done bool, err error) {
 func (m *Machine) schedule(id int, w int64) {
 	m.wakes[id] = w
 	m.wq.push(id, w, m.Now)
+}
+
+// wakeWaiters ends the NACK waits parked on core h, whose transaction
+// ends (commits or aborts) now, during the executing core's turn. A
+// waiter resumes at its next retry slot: one at the current cycle runs
+// this cycle only if the waiter's turn comes after the executing core's,
+// as lockstep would see the release then; one before it was a NACK.
+//
+//retcon:hotpath runs at every commit and abort
+func (m *Machine) wakeWaiters(h int) {
+	for w := m.waiters[h]; w != 0; w &= w - 1 {
+		id := bits.TrailingZeros64(w)
+		c := m.Cores[id]
+		m.unpark(c, m.steppedThrough(id))
+		if next := c.stallUntil + 1; next == m.Now {
+			m.wakes[id] = next
+			m.dueNow |= 1 << id
+		} else {
+			m.schedule(id, next)
+		}
+	}
+}
+
+// steppedThrough returns the last cycle lockstep has stepped core id
+// through at this point of the executing core's turn: the current cycle
+// when id is lower, the one before otherwise.
+func (m *Machine) steppedThrough(id int) int64 {
+	if id < m.execID {
+		return m.Now
+	}
+	return m.Now - 1
+}
+
+// unpark ends core c's NACK wait: it charges the retries lockstep ran at
+// c's slots nackAt+k·NackRetry through cycle upTo and stalls c until the
+// next slot. Each charged retry is one instruction and one NACK; its
+// cycles are conflict cycles, which settle charges with the rest of the
+// stall.
+//
+// Every skipped retry is an identical NACK, because the holder that
+// vetoed c keeps vetoing until its transaction ends: its spec bits only
+// grow within a transaction; directory presence is sticky, so evictions
+// never drop it from WriteTargets/ReadTargets; another requester can
+// invalidate or downgrade it only by getting past its veto, which aborts
+// it; and both timestamps are fixed. The retry itself changes nothing: a
+// NACKed miss reuses its memoized probe, and a NACKed upgrade re-stamps a
+// line that is already the MRU line of its L1 set, leaving LRU order as
+// it was.
+func (m *Machine) unpark(c *Core, upTo int64) {
+	r := max(m.P.NackRetry, 1) // a NACK stalls through Now+NackRetry-1
+	if k := (upTo - c.nackAt) / r; k > 0 {
+		c.Stats.Instrs += k
+		c.Stats.Nacks += k
+		c.nackAt += k * r
+		m.schedStats.ParkedRetries += k
+	}
+	c.stallUntil = c.nackAt + r - 1
+	m.waiters[c.parkedOn] &^= 1 << c.ID
+	c.parkedOn = -1
 }
 
 // Timing-wheel geometry: one slot per cycle over a horizon that covers

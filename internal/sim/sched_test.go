@@ -10,50 +10,59 @@ import (
 	"repro/internal/telemetry"
 )
 
-// runBoth builds the machine twice via build() and runs it under the
-// lockstep oracle and the event-driven scheduler, asserting identical
-// Result structs, trace output and final memory word at probe (when
-// probe >= 0). It returns the event-driven result.
+// runBoth builds the machine three times via build() and runs it under
+// the lockstep oracle and the event-driven scheduler with a recorder
+// attached, then under the event scheduler with none — the only setting
+// in which it parks NACKed cores. It asserts identical Result structs
+// across all three, identical trace output across the recorded two and
+// an identical final memory word at probe (when probe >= 0). It returns
+// the recorded event-driven result.
 func runBoth(t *testing.T, p Params, probe int64, build func() (*mem.Image, []*isa.Program)) *Result {
 	t.Helper()
-	results := make(map[SchedKind]*Result, 2)
-	traces := make(map[SchedKind]string, 2)
-	mems := make(map[SchedKind]int64, 2)
-	for _, kind := range []SchedKind{SchedLockstep, SchedEvent} {
+	runs := []struct {
+		name   string
+		kind   SchedKind
+		record bool
+	}{{"lockstep", SchedLockstep, true}, {"event", SchedEvent, true}, {"event-unrecorded", SchedEvent, false}}
+	results := make([]*Result, len(runs))
+	traces := make([]string, len(runs))
+	mems := make([]int64, len(runs))
+	for i, r := range runs {
 		img, progs := build()
 		pk := p
-		pk.Sched = kind
+		pk.Sched = r.kind
 		m, err := New(pk, img, progs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		m.Record(telemetry.NewRecorder(telemetry.NewJSONLSink(&buf), 0))
+		if r.record {
+			m.Record(telemetry.NewRecorder(telemetry.NewJSONLSink(&buf), 0))
+		}
 		res, err := m.Run()
 		if err != nil {
-			t.Fatalf("sched=%v: %v", kind, err)
+			t.Fatalf("%s: %v", r.name, err)
 		}
-		results[kind] = res
-		traces[kind] = buf.String()
+		results[i] = res
+		traces[i] = buf.String()
 		if probe >= 0 {
-			mems[kind] = img.Read64(probe)
+			mems[i] = img.Read64(probe)
 		}
 	}
 	// Mode is part of the Result; Sched deliberately is not — the structs
 	// must be byte-identical across schedulers.
-	if !reflect.DeepEqual(results[SchedLockstep], results[SchedEvent]) {
-		t.Errorf("results diverge:\nlockstep: %+v\nevent:    %+v",
-			results[SchedLockstep], results[SchedEvent])
+	for i := 1; i < len(runs); i++ {
+		if !reflect.DeepEqual(results[0], results[i]) {
+			t.Errorf("results diverge:\nlockstep: %+v\n%s: %+v", results[0], runs[i].name, results[i])
+		}
+		if probe >= 0 && mems[0] != mems[i] {
+			t.Errorf("final memory diverges at %#x: lockstep %d vs %s %d", probe, mems[0], runs[i].name, mems[i])
+		}
 	}
-	if traces[SchedLockstep] != traces[SchedEvent] {
-		t.Errorf("traces diverge:\n--- lockstep ---\n%s--- event ---\n%s",
-			traces[SchedLockstep], traces[SchedEvent])
+	if traces[0] != traces[1] {
+		t.Errorf("traces diverge:\n--- lockstep ---\n%s--- event ---\n%s", traces[0], traces[1])
 	}
-	if probe >= 0 && mems[SchedLockstep] != mems[SchedEvent] {
-		t.Errorf("final memory diverges at %#x: lockstep %d vs event %d",
-			probe, mems[SchedLockstep], mems[SchedEvent])
-	}
-	return results[SchedEvent]
+	return results[1]
 }
 
 // TestSchedulerEquivalenceCounter: the contended shared counter across
@@ -333,4 +342,186 @@ func TestSetScheduler(t *testing.T) {
 	if got := img.Read64(counter); got != 6 {
 		t.Errorf("counter = %d, want 6", got)
 	}
+}
+
+// eventLog is a recorder sink that keeps every event in memory.
+type eventLog []telemetry.Event
+
+func (l *eventLog) WriteEvents(evs []telemetry.Event) error {
+	*l = append(*l, evs...)
+	return nil
+}
+
+// parkScenario builds a NACK wait: the holder transaction writes x and
+// commits after hold busy-loop iterations; the waiter begins its
+// transaction later (so it is younger) and loads x, so it is NACKed until
+// the holder commits. With an aborter (>= 0), the waiter first writes y,
+// and the aborter's plain store to y after 120 busy-loop iterations
+// aborts the parked waiter remotely. Any other core spins for fill
+// iterations, keeping the machine dense enough for the event loop to
+// hand off to runDense. Core padded runs pad extra NOPs: the holder just
+// before its commit, any other core first.
+func parkScenario(cores, holder, waiter, aborter int, hold, fill int64, padded, pad int) func() (*mem.Image, []*isa.Program) {
+	return func() (*mem.Image, []*isa.Program) {
+		img := mem.NewImage(1 << 16)
+		x := img.AllocBlocks(mem.BlockSize)
+		y := img.AllocBlocks(mem.BlockSize)
+		progs := make([]*isa.Program, cores)
+		for id := range progs {
+			b := isa.NewBuilder("park")
+			if id == padded && id != holder {
+				for range pad {
+					b.Nop()
+				}
+			}
+			switch id {
+			case holder:
+				b.TxBegin()
+				b.St(isa.Zero, isa.Zero, x, 8)
+				if hold > 0 {
+					b.BusyLoop(isa.R(1), hold, "hold")
+				}
+				if id == padded {
+					for range pad {
+						b.Nop()
+					}
+				}
+				b.TxCommit()
+			case waiter:
+				b.BusyLoop(isa.R(1), 2, "younger")
+				b.TxBegin()
+				if aborter >= 0 {
+					b.St(isa.Zero, isa.Zero, y, 8)
+				}
+				b.Ld(isa.R(2), isa.Zero, x, 8)
+				b.TxCommit()
+			case aborter:
+				b.BusyLoop(isa.R(1), 120, "late")
+				b.St(isa.Zero, isa.Zero, y, 8)
+			default:
+				b.BusyLoop(isa.R(1), fill, "fill")
+			}
+			b.Barrier()
+			b.Halt()
+			progs[id] = b.MustAssemble()
+		}
+		return img, progs
+	}
+}
+
+// TestSchedulerParkedNackEdges drives the parked-NACK path of the event
+// scheduler (eager, no recorder) through its edge cases and requires
+// lockstep's Result every time. The slot rows sweep a pad over two retry
+// periods, so that in some run the event that ends the wait — the
+// holder's commit, or the remote abort of the waiter — falls exactly on
+// one of the waiter's retry slots, with the ending core's ID below and
+// above the waiter's; the recorded lockstep trace proves the slot was hit.
+// The hand-off row sweeps the waiter's start over one period, so some
+// hand-off lands on a slot too.
+func TestSchedulerParkedNackEdges(t *testing.T) {
+	const none = -1
+	nackRetry := int(DefaultParams().NackRetry)
+	for _, row := range []struct {
+		name  string
+		cores int
+		pads  int
+		build func(pad int) func() (*mem.Image, []*isa.Program)
+		// slotKind and slotCore name the event that must fall on a retry
+		// slot of core waiter in some run (slotKind 0: no such check).
+		slotKind         telemetry.Kind
+		slotCore, waiter int
+		wantHandoff      bool
+	}{
+		{name: "commit-at-slot/holder-below", cores: 2, pads: 2 * nackRetry,
+			build:    func(pad int) func() (*mem.Image, []*isa.Program) { return parkScenario(2, 0, 1, none, 0, 0, 0, pad) },
+			slotKind: telemetry.KindCommit, slotCore: 0, waiter: 1},
+		{name: "commit-at-slot/holder-above", cores: 2, pads: 2 * nackRetry,
+			build:    func(pad int) func() (*mem.Image, []*isa.Program) { return parkScenario(2, 1, 0, none, 0, 0, 1, pad) },
+			slotKind: telemetry.KindCommit, slotCore: 1, waiter: 0},
+		{name: "abort-at-slot/aborter-below", cores: 3, pads: 2 * nackRetry,
+			build:    func(pad int) func() (*mem.Image, []*isa.Program) { return parkScenario(3, 1, 2, 0, 400, 0, 0, pad) },
+			slotKind: telemetry.KindAbort, slotCore: 2, waiter: 2},
+		{name: "abort-at-slot/aborter-above", cores: 3, pads: 2 * nackRetry,
+			build:    func(pad int) func() (*mem.Image, []*isa.Program) { return parkScenario(3, 0, 1, 2, 400, 0, 2, pad) },
+			slotKind: telemetry.KindAbort, slotCore: 1, waiter: 1},
+		{name: "handoff-while-parked", cores: 4, pads: nackRetry,
+			build: func(pad int) func() (*mem.Image, []*isa.Program) {
+				return parkScenario(4, 0, 1, none, 2000, 3000, 1, pad)
+			},
+			wantHandoff: true},
+		{name: "counter@32", cores: 32, pads: 1,
+			build: func(int) func() (*mem.Image, []*isa.Program) {
+				return func() (*mem.Image, []*isa.Program) { img, _, progs := buildCounter(32, 3, 2, 10); return img, progs }
+			}},
+		{name: "counter@64", cores: 64, pads: 1,
+			build: func(int) func() (*mem.Image, []*isa.Program) {
+				return func() (*mem.Image, []*isa.Program) { img, _, progs := buildCounter(64, 2, 2, 10); return img, progs }
+			}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			var sched SchedStats
+			slotHit := false
+			for pad := 0; pad < row.pads; pad++ {
+				build := row.build(pad)
+				var log eventLog
+				lockstep, _ := runParkRow(t, row.cores, SchedLockstep, &log, build)
+				event, st := runParkRow(t, row.cores, SchedEvent, nil, build)
+				if !reflect.DeepEqual(lockstep, event) {
+					t.Errorf("pad=%d: results diverge:\nlockstep: %+v\nevent:    %+v", pad, lockstep, event)
+				}
+				sched.ParkedRetries += st.ParkedRetries
+				sched.Handoffs += st.Handoffs
+				slotHit = slotHit || endsAtSlot(log, row.slotKind, row.slotCore, row.waiter, int64(nackRetry))
+			}
+			if sched.ParkedRetries == 0 {
+				t.Error("no NACKed retry was charged in bulk: the parked path never fired")
+			}
+			if row.slotKind != 0 && !slotHit {
+				t.Errorf("no run put the %v on a retry slot of core %d", row.slotKind, row.waiter)
+			}
+			if row.wantHandoff && sched.Handoffs == 0 {
+				t.Error("no hand-off to the dense loop")
+			}
+		})
+	}
+}
+
+// runParkRow runs one eager machine of the given size under kind,
+// recording into log when it is non-nil, and returns its Result and
+// scheduler counters.
+func runParkRow(t *testing.T, cores int, kind SchedKind, log *eventLog, build func() (*mem.Image, []*isa.Program)) (*Result, SchedStats) {
+	t.Helper()
+	img, progs := build()
+	p := testParams(cores, Eager)
+	p.Sched = kind
+	m, err := New(p, img, progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if log != nil {
+		m.Record(telemetry.NewRecorder(log, 0))
+	}
+	res, err := m.Run()
+	if err != nil {
+		t.Fatalf("sched=%v: %v", kind, err)
+	}
+	return res, m.SchedStats()
+}
+
+// endsAtSlot reports whether an event of kind on core at cycle t follows
+// a NACK of core waiter at t-nackRetry, i.e. lands on one of its retry
+// slots.
+func endsAtSlot(log eventLog, kind telemetry.Kind, core, waiter int, nackRetry int64) bool {
+	nacks := make(map[int64]bool)
+	for _, e := range log {
+		if e.Kind == telemetry.KindNack && int(e.Core) == waiter {
+			nacks[e.Cycle] = true
+		}
+	}
+	for _, e := range log {
+		if e.Kind == kind && int(e.Core) == core && nacks[e.Cycle-nackRetry] {
+			return true
+		}
+	}
+	return false
 }

@@ -104,14 +104,19 @@ type MetricsAgg struct {
 }
 
 // SchedStats describes how the event-driven scheduler split a run
-// between its event loop and the dense lockstep-like
-// inner loop. It lives on the Machine, not the Result: it is a
-// property of the scheduler, and Results are scheduler-invariant by
-// contract. Under the lockstep scheduler it is all zeros.
+// between its event loop and the dense lockstep-like inner loop, and how
+// many NACKed retries it skipped. It lives on the Machine, not the
+// Result: it is a property of the scheduler, and Results are
+// scheduler-invariant by contract. Under the lockstep scheduler it is
+// all zeros.
 type SchedStats struct {
 	EventCycles int64 // simulated cycles covered by the event loop
 	DenseCycles int64 // simulated cycles covered by the dense inner loop
 	Handoffs    int64 // event->dense mode switches
+	// ParkedRetries counts the NACKed retries charged in bulk to cores
+	// parked on the vetoing transaction instead of executed. They are in
+	// CoreStats.Instrs and Nacks like every executed retry.
+	ParkedRetries int64
 }
 
 // SchedStats returns the scheduler-occupancy counters for the last Run.
