@@ -3,6 +3,8 @@ package fuzz
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestCorpusReplay re-runs every committed reproducer under all three
@@ -67,6 +69,37 @@ func TestGeneratedSweep(t *testing.T) {
 	for seed := int64(0); seed < n; seed++ {
 		if d := Check(Generate(seed, GenOptions{Small: true}), Options{}); d != nil {
 			t.Fatalf("seed %d: %v", seed, d)
+		}
+	}
+}
+
+// TestGeneratedBusyLoopsFastForward: the differential oracles check the
+// event loop's busy-loop fast-forward only if generated programs reach
+// it. Over the seeds TestGeneratedSweep checks even in -short mode, the
+// event runs, recorded as Check records them, must run some busy loop as
+// one timed stall in every mode.
+func TestGeneratedBusyLoopsFastForward(t *testing.T) {
+	for _, mode := range []sim.Mode{sim.Eager, sim.LazyVB, sim.RetCon} {
+		var skipped int64
+		for seed := int64(0); seed < 40; seed++ {
+			img, progs, _, err := Compile(Generate(seed, GenOptions{Small: true}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := sim.DefaultParams()
+			p.Cores, p.Mode = len(progs), mode
+			m, err := sim.New(p, img, progs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Record(newEventLog().rec)
+			if _, err := m.Run(); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			skipped += m.SchedStats().BusySkipped
+		}
+		if skipped <= 0 {
+			t.Errorf("mode %v: no generated program fast-forwarded a busy loop", mode)
 		}
 	}
 }

@@ -187,6 +187,9 @@ func (b *Builder) Assemble() (*Program, error) {
 		in.Target = tgt
 		in.label = ""
 	}
+	for i := range out {
+		out[i].loopHead = isBusyLoopHead(out, i)
+	}
 	return &Program{Name: b.name, Instrs: out}, nil
 }
 

@@ -26,15 +26,41 @@ const Zero Reg = 0
 // memory, which keeps the timing model focused on data accesses, the only
 // accesses that matter to the HTM).
 type Instr struct {
-	Op     Op
-	Rd     Reg   // destination (Ld, ALU)
-	Rs1    Reg   // source 1 / base address
-	Rs2    Reg   // source 2 / store data
-	Imm    int64 // immediate / address offset
-	Size   uint8 // access size in bytes for Ld/St: 1, 2, 4 or 8
-	Target int   // resolved instruction index for branches and jumps
+	Op   Op
+	Rd   Reg   // destination (Ld, ALU)
+	Rs1  Reg   // source 1 / base address
+	Rs2  Reg   // source 2 / store data
+	Imm  int64 // immediate / address offset
+	Size uint8 // access size in bytes for Ld/St: 1, 2, 4 or 8
+	// loopHead is set by Assemble on the addi of a counted delay loop (see
+	// BusyLoopHead). It sits in Size's padding, so Instr stays 48 bytes.
+	loopHead bool
+	Target   int // resolved instruction index for branches and jumps
 
 	label string // unresolved branch target, cleared by Assemble
+}
+
+// BusyLoopHead reports whether the instruction is the addi of a counted
+// delay loop, the shape BusyLoop emits:
+//
+//	L: addi r, r, -1
+//	   bgt  r, zero, L
+//
+// with r not the zero register. From the addi with r = v, the loop runs
+// exactly 2*max(v,1) instructions, leaves r = min(v,1)-1 and falls through
+// past the bgt, touching nothing else. Assemble recognises the idiom once
+// per program, so a simulator can run the whole loop as one timed step
+// without matching it on every execution.
+func (in *Instr) BusyLoopHead() bool { return in.loopHead }
+
+// isBusyLoopHead matches the BusyLoopHead idiom at instrs[i].
+func isBusyLoopHead(instrs []Instr, i int) bool {
+	if i+1 >= len(instrs) {
+		return false
+	}
+	a, br := &instrs[i], &instrs[i+1]
+	return a.Op == Addi && a.Imm == -1 && a.Rd == a.Rs1 && a.Rd != Zero &&
+		br.Op == Bgt && br.Rs1 == a.Rd && br.Rs2 == Zero && br.Target == i
 }
 
 // String renders the instruction in assembler-like syntax.

@@ -166,6 +166,48 @@ func TestFetchAddMacro(t *testing.T) {
 	}
 }
 
+// TestBusyLoopHead: Assemble marks exactly the addi of each addi/bgt
+// delay loop on a real counter that branches back to that addi, and
+// Validate rejects a mark the code no longer matches.
+func TestBusyLoopHead(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		emit func(b *Builder)
+		want bool
+	}{
+		{"BusyLoop", func(b *Builder) { b.BusyLoop(R(3), 9, "L") }, true},
+		{"zero counter", func(b *Builder) { b.BusyLoop(Zero, 9, "L") }, false},
+		{"step -2", func(b *Builder) { b.Label("L"); b.Addi(R(3), R(3), -2); b.Bgt(R(3), Zero, "L") }, false},
+		{"other register", func(b *Builder) { b.Label("L"); b.Addi(R(3), R(4), -1); b.Bgt(R(3), Zero, "L") }, false},
+		{"compare to register", func(b *Builder) { b.Label("L"); b.Addi(R(3), R(3), -1); b.Bgt(R(3), R(4), "L") }, false},
+		{"bge", func(b *Builder) { b.Label("L"); b.Addi(R(3), R(3), -1); b.Bge(R(3), Zero, "L") }, false},
+		{"loop body", func(b *Builder) { b.Label("L"); b.Nop(); b.Addi(R(3), R(3), -1); b.Bgt(R(3), Zero, "L") }, false},
+	} {
+		b := NewBuilder(c.name)
+		c.emit(b)
+		b.Halt()
+		p := b.MustAssemble()
+		var heads []int
+		for pc := range p.Instrs {
+			if p.Instrs[pc].BusyLoopHead() {
+				heads = append(heads, pc)
+			}
+		}
+		if got := len(heads) == 1 && p.Instrs[heads[0]].Op == Addi; got != c.want || len(heads) > 1 {
+			t.Errorf("%s: busy-loop heads at %v, want one addi: %v", c.name, heads, c.want)
+		}
+	}
+
+	b := NewBuilder("stale")
+	b.BusyLoop(R(3), 9, "L")
+	b.Halt()
+	p := b.MustAssemble()
+	p.Instrs[2].Target = 0 // the bgt now branches to the li
+	if err := p.Validate(); err == nil {
+		t.Error("a busy-loop mark the code no longer matches must be rejected")
+	}
+}
+
 // TestProgramValidate covers the generator hook: structurally bad
 // programs (built outside the Builder) are rejected with errors instead
 // of panicking mid-simulation.

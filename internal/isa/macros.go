@@ -40,10 +40,12 @@ func (b *Builder) FetchAdd(tmp Reg, addr, delta int64) {
 	b.St(tmp, Zero, addr, 8)
 }
 
-// BusyLoop emits a delay loop that executes roughly 2*count+2 instructions,
-// using ctr as a scratch counter. It models private computation (parsing,
-// string processing, routing) that occupies the core without touching
-// shared memory.
+// BusyLoop emits a delay loop that executes exactly 1 + 2*max(count,1)
+// instructions (the li, then one addi/bgt pair per iteration), using ctr
+// as a scratch counter. It models private computation (parsing, string
+// processing, routing) that occupies the core without touching shared
+// memory. The loop is a BusyLoopHead idiom whenever ctr is not the zero
+// register.
 func (b *Builder) BusyLoop(ctr Reg, count int64, label string) {
 	b.Li(ctr, count)
 	b.Label(label)

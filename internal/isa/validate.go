@@ -4,7 +4,9 @@ import "fmt"
 
 // Validate structurally checks a program: every opcode is known, register
 // indices are in range, memory access sizes are legal and branch/jump
-// targets resolve to instruction indices inside the program. The builder
+// targets resolve to instruction indices inside the program, and every
+// addi that Assemble marked as a BusyLoopHead still heads that idiom (a
+// program edited after assembly must not carry a stale mark). The builder
 // can only produce valid programs; Validate exists for programs built by
 // other front ends — notably the fuzz generator — so that a malformed
 // program surfaces as an error at machine construction instead of a panic
@@ -17,6 +19,9 @@ func (p *Program) Validate() error {
 		in := &p.Instrs[i]
 		if err := in.validate(len(p.Instrs)); err != nil {
 			return fmt.Errorf("isa: program %q: instruction %d (%s): %w", p.Name, i, in, err)
+		}
+		if in.loopHead && !isBusyLoopHead(p.Instrs, i) {
+			return fmt.Errorf("isa: program %q: instruction %d (%s): busy-loop mark no longer matches the code", p.Name, i, in)
 		}
 	}
 	return nil

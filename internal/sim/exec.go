@@ -25,6 +25,9 @@ func (m *Machine) exec(c *Core) {
 	case isa.Li, isa.Mov, isa.Add, isa.Addi, isa.Sub, isa.Rsubi, isa.Mul,
 		isa.Muli, isa.Div, isa.Rem, isa.And, isa.Andi, isa.Or, isa.Xor,
 		isa.Shli, isa.Shri, isa.AddF, isa.MulF:
+		if in.BusyLoopHead() && m.lazyAttr && m.busyLoop(c, in) {
+			return // the whole loop ran as one timed stall
+		}
 		c.addCycle(CatBusy)
 		if !m.execALU(c, in) {
 			return // aborted on constraint overflow; PC reset by abort

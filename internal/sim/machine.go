@@ -55,6 +55,12 @@ type Core struct {
 	nackAt   int64
 	parkedOn int
 
+	// loopEnd is the last cycle of the busy loop the event loop ran in
+	// one step on this core (see busyLoop). While a cycle before it is
+	// observed, lockstep would still be inside the loop; unwindBusyLoop
+	// rebuilds that state and clears the field.
+	loopEnd int64
+
 	// nackWaitSince is the cycle the core's current pending access was
 	// first NACKed (0 when no NACK wait is in progress); the eventual
 	// success observes the total wait into the NackWait histogram, an
@@ -268,6 +274,7 @@ func (c *Core) resetFor(prog *isa.Program, specCap int, retCfg core.Config, p Pa
 	c.nackWaitSince = 0
 	c.nackAt = 0
 	c.parkedOn = -1
+	c.loopEnd = 0
 	c.halted = false
 	c.barrierWait = false
 	c.stallUntil = 0
@@ -478,12 +485,15 @@ func (m *Machine) abort(c *Core, blameBlock int64, cause telemetry.Cause) {
 		// cycle went to the old category, and into the accumulators about to
 		// be reattributed), a larger one was not (its current cycle will fall
 		// under the conflict stall set below). A victim parked on a NACK
-		// is charged the retries lockstep ran up to that same point.
+		// is charged the retries lockstep ran up to that same point; one
+		// inside a fast-forwarded busy loop is refunded the instructions
+		// lockstep had not run by then.
 		upTo := m.steppedThrough(c.ID)
 		if c.parkedOn >= 0 {
 			m.unpark(c, upTo)
 		}
 		m.settle(c, upTo)
+		m.unwindBusyLoop(c, upTo)
 	}
 	// wasted is the work this abort throws away — exactly the cycles the
 	// next lines reattribute to the conflict category.

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/bits"
 	"strings"
+
+	"repro/internal/isa"
 )
 
 // neverWakes is the wake time of a core with no timed wake event; it is
@@ -115,8 +117,19 @@ func (lockstepSched) Run(m *Machine) error {
 // instruction and one NACK each, as settle charges skipped stall cycles.
 // Elsewhere a retry is observable — LazyVB and RetCon train the predictor
 // on every NACK, which can change the retry's path, and a recorder logs
-// each NACK at its own cycle — so those waits retry as lockstep does. A remote abort of a parked core, and a hand-off to the
-// dense loop, unpark it first.
+// each NACK at its own cycle — so those waits retry as lockstep does. A
+// remote abort of a parked core, and a hand-off to the dense loop, unpark
+// it first.
+//
+// A counted busy loop (isa.BusyLoop) is a timed wake as well. When a core
+// reaches the loop's addi with a concrete counter, busyLoop runs the whole
+// loop at once: it charges its instructions and stalls the core in
+// CatBusy through the loop's last cycle, so the loop costs one execution
+// and one wake instead of one visit per cycle. ALU ops and branches on
+// concrete registers emit no events, so this holds with a recorder
+// attached too. A remote abort, the watchdog and a hand-off to the dense
+// loop can observe the core mid-loop; each first rebuilds the state
+// lockstep has at that point (unwindBusyLoop).
 //
 // Bookkeeping: every core has exactly one wake time, held in the dense
 // Machine.wakes array indexed by core ID (rewritten in place by mid-cycle
@@ -197,6 +210,7 @@ func (eventSched) Run(m *Machine) error {
 			}
 			if !c.halted {
 				m.settle(c, m.Now)
+				m.unwindBusyLoop(c, m.Now)
 			}
 		}
 		m.lazyAttr = false
@@ -351,6 +365,9 @@ func (m *Machine) runEvent(park bool) (done bool, err error) {
 			// The lockstep machine would idle up to the bound and expire
 			// there; report the identical failure.
 			m.Now = m.P.MaxCycles
+			for _, c := range m.Cores {
+				m.unwindBusyLoop(c, m.Now)
+			}
 			return false, m.watchdogErr()
 		}
 		m.Now = next
@@ -495,6 +512,58 @@ func (m *Machine) unpark(c *Core, upTo int64) {
 	c.stallUntil = c.nackAt + r - 1
 	m.waiters[c.parkedOn] &^= 1 << c.ID
 	c.parkedOn = -1
+}
+
+// busyLoop runs the counted delay loop whose addi (in) is at core c's PC
+// in one step. Lockstep runs its 2·max(v,1) instructions one per cycle,
+// for a counter v, each charged to CatBusy; none of them emits an event or
+// touches shared state. So busyLoop charges them all, leaves the counter
+// (min(v,1)−1) and the PC (past the bgt) where the loop ends, and stalls
+// the core in CatBusy through the loop's last cycle. settle and abort
+// reattribution then account the loop as they account a load latency.
+//
+// It declines, and the addi executes normally, when the counter is
+// symbolic (RETCON's bgt would then record a constraint per iteration) or
+// so large that the wake time would overflow.
+func (m *Machine) busyLoop(c *Core, in *isa.Instr) bool {
+	v := c.Regs[in.Rd]
+	if m.P.Mode == RetCon && c.Tx.Active && c.Ret.Regs[in.Rd].Valid || v >= (neverWakes-m.Now)/2 {
+		return false
+	}
+	n := 2 * max(v, 1)
+	c.Stats.Instrs += n - 1 // exec counted the addi
+	m.schedStats.BusySkipped += n - 1
+	c.Regs[in.Rd] = min(v, 1) - 1
+	c.PC += 2
+	c.addCycle(CatBusy)
+	c.setStall(m.Now+n-1, CatBusy)
+	c.loopEnd = c.stallUntil
+	return true
+}
+
+// unwindBusyLoop puts core c, if the cycles through upTo leave it inside
+// a loop busyLoop ran in one step, into the state lockstep has after
+// stepping it through upTo. The rem = loopEnd−upTo instructions lockstep
+// has not run yet are refunded; the counter is owed the ⌊rem/2⌋
+// decrements still ahead of it; the PC is the addi when rem is even and
+// the bgt when it is odd; and the stall ends at upTo, so the next cycle
+// executes the loop's next instruction. Three places observe a core
+// mid-loop and call it: a remote abort (which then rolls the registers
+// and PC back anyway, but keeps the instruction count), watchdog expiry
+// (WatchdogError.PCs) and the hand-off to runDense, which must never see
+// a fast-forwarded core.
+func (m *Machine) unwindBusyLoop(c *Core, upTo int64) {
+	rem := c.loopEnd - upTo
+	c.loopEnd = 0
+	if rem <= 0 {
+		return
+	}
+	head := c.PC - 2
+	c.Stats.Instrs -= rem
+	m.schedStats.BusySkipped -= rem
+	c.Regs[c.instrs[head].Rd] += rem / 2
+	c.PC = head + int(rem&1)
+	c.stallUntil = upTo
 }
 
 // Timing-wheel geometry: one slot per cycle over a horizon that covers

@@ -358,9 +358,10 @@ func (l *eventLog) WriteEvents(evs []telemetry.Event) error {
 // the holder commits. With an aborter (>= 0), the waiter first writes y,
 // and the aborter's plain store to y after 120 busy-loop iterations
 // aborts the parked waiter remotely. Any other core spins for fill
-// iterations, keeping the machine dense enough for the event loop to
-// hand off to runDense. Core padded runs pad extra NOPs: the holder just
-// before its commit, any other core first.
+// iterations of a loop the event loop cannot fast-forward, keeping the
+// machine dense enough for it to hand off to runDense. Core padded runs
+// pad extra NOPs: the holder just before its commit, any other core
+// first.
 func parkScenario(cores, holder, waiter, aborter int, hold, fill int64, padded, pad int) func() (*mem.Image, []*isa.Program) {
 	return func() (*mem.Image, []*isa.Program) {
 		img := mem.NewImage(1 << 16)
@@ -399,7 +400,7 @@ func parkScenario(cores, holder, waiter, aborter int, hold, fill int64, padded, 
 				b.BusyLoop(isa.R(1), 120, "late")
 				b.St(isa.Zero, isa.Zero, y, 8)
 			default:
-				b.BusyLoop(isa.R(1), fill, "fill")
+				spinLoop(b, isa.R(1), fill, "fill")
 			}
 			b.Barrier()
 			b.Halt()
@@ -407,6 +408,17 @@ func parkScenario(cores, holder, waiter, aborter int, hold, fill int64, padded, 
 		}
 		return img, progs
 	}
+}
+
+// spinLoop emits a delay loop with a nop in its body: n iterations of
+// three instructions that, unlike isa.BusyLoop, is not the busy-loop
+// idiom, so every scheduler executes it one instruction per cycle.
+func spinLoop(b *isa.Builder, ctr isa.Reg, n int64, label string) {
+	b.Li(ctr, n)
+	b.Label(label)
+	b.Nop()
+	b.Addi(ctr, ctr, -1)
+	b.Bgt(ctr, isa.Zero, label)
 }
 
 // TestSchedulerParkedNackEdges drives the parked-NACK path of the event
@@ -444,9 +456,9 @@ func TestSchedulerParkedNackEdges(t *testing.T) {
 		{name: "abort-at-slot/aborter-above", cores: 3, pads: 2 * nackRetry,
 			build:    func(pad int) func() (*mem.Image, []*isa.Program) { return parkScenario(3, 0, 1, 2, 400, 0, 2, pad) },
 			slotKind: telemetry.KindAbort, slotCore: 1, waiter: 1},
-		{name: "handoff-while-parked", cores: 4, pads: nackRetry,
+		{name: "handoff-while-parked", cores: 6, pads: nackRetry,
 			build: func(pad int) func() (*mem.Image, []*isa.Program) {
-				return parkScenario(4, 0, 1, none, 2000, 3000, 1, pad)
+				return parkScenario(6, 0, 1, none, 2000, 3000, 1, pad)
 			},
 			wantHandoff: true},
 		{name: "counter@32", cores: 32, pads: 1,

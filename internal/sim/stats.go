@@ -105,10 +105,10 @@ type MetricsAgg struct {
 
 // SchedStats describes how the event-driven scheduler split a run
 // between its event loop and the dense lockstep-like inner loop, and how
-// many NACKed retries it skipped. It lives on the Machine, not the
-// Result: it is a property of the scheduler, and Results are
-// scheduler-invariant by contract. Under the lockstep scheduler it is
-// all zeros.
+// many NACKed retries and busy-loop instructions it skipped. It lives on
+// the Machine, not the Result: it is a property of the scheduler, and
+// Results are scheduler-invariant by contract. Under the lockstep
+// scheduler it is all zeros.
 type SchedStats struct {
 	EventCycles int64 // simulated cycles covered by the event loop
 	DenseCycles int64 // simulated cycles covered by the dense inner loop
@@ -117,6 +117,11 @@ type SchedStats struct {
 	// parked on the vetoing transaction instead of executed. They are in
 	// CoreStats.Instrs and Nacks like every executed retry.
 	ParkedRetries int64
+	// BusySkipped counts the busy-loop instructions charged in bulk by
+	// running each loop as one timed stall instead of executed, net of
+	// the ones refunded when a loop was unwound mid-way. They are in
+	// CoreStats.Instrs like every executed instruction.
+	BusySkipped int64
 }
 
 // SchedStats returns the scheduler-occupancy counters for the last Run.

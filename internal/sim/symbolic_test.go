@@ -18,6 +18,14 @@ func twoCoreScenario(t *testing.T, init int64, stealVal int64,
 	bodyFn func(b *isa.Builder, a int64)) (*mem.Image, int64, *Result) {
 	t.Helper()
 	img := mem.NewImage(1 << 20)
+	a, progs := stealProgs(img, init, stealVal, bodyFn)
+	res := runMachine(t, testParams(2, RetCon), img, progs)
+	return img, a, res
+}
+
+// stealProgs lays out twoCoreScenario's contended block and flag in img
+// and returns the block's address and the two cores' programs.
+func stealProgs(img *mem.Image, init, stealVal int64, bodyFn func(b *isa.Builder, a int64)) (int64, []*isa.Program) {
 	a := img.AllocBlocks(mem.BlockSize)
 	flag := img.AllocBlocks(mem.BlockSize)
 	img.Write64(a, init)
@@ -45,9 +53,7 @@ func twoCoreScenario(t *testing.T, init int64, stealVal int64,
 	b1.St(isa.R(2), isa.Zero, a, 8)
 	b1.Barrier()
 	b1.Halt()
-
-	res := runMachine(t, testParams(2, RetCon), img, []*isa.Program{b0.MustAssemble(), b1.MustAssemble()})
-	return img, a, res
+	return a, []*isa.Program{b0.MustAssemble(), b1.MustAssemble()}
 }
 
 // TestNegatedSymbolicRepair: a reverse subtraction (const - [A]) must
