@@ -180,8 +180,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "retcon-sim:", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(out, "sched     event-loop %d cycles  dense %d cycles  handoffs %d\n",
-			res.Sched.EventCycles, res.Sched.DenseCycles, res.Sched.Handoffs)
+		fmt.Fprintf(out, "sched     event-loop %d cycles\n", res.Sched.EventCycles)
 	}
 
 	if *speedup {

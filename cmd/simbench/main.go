@@ -46,8 +46,8 @@ import (
 // cases are the timed configurations: every paper workload in eager and
 // RetCon modes, covering both stall-heavy machines (NACK retries, abort
 // backoffs, DRAM misses, barrier imbalance) where the event scheduler's
-// time skipping pays and busy-dominated machines where its dense-phase
-// hand-off must merely not lose to lockstep.
+// time skipping pays, and busy-dominated machines (genome, RetCon
+// counter) where it has the fewest cycles to skip.
 var cases = []struct {
 	workload string
 	mode     sim.Mode

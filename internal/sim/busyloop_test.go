@@ -106,17 +106,16 @@ func busyAbortScenario(victim, aborter, pad int) func() (*mem.Image, []*isa.Prog
 	}
 }
 
-// busyDenseScenario: core loop runs pad NOPs and a 5000-iteration busy
-// loop; every other core commits an empty transaction and then spins on
-// a loop the event loop cannot fast-forward, so the machine is dense from
-// the start and the event loop hands off to runDense at its first window
-// boundary (cycle denseWindow), inside core loop's busy loop.
-func busyDenseScenario(cores, loop, pad int) func() (*mem.Image, []*isa.Program) {
+// busySpinScenario: core loop runs pad NOPs and a 5000-iteration busy
+// loop; every other core commits an empty transaction and then spins for
+// 3000 cycles on a loop the event loop cannot fast-forward, so the event
+// loop visits every cycle while core loop is inside its busy loop.
+func busySpinScenario(cores, loop, pad int) func() (*mem.Image, []*isa.Program) {
 	return func() (*mem.Image, []*isa.Program) {
 		img := mem.NewImage(1 << 16)
 		progs := make([]*isa.Program, cores)
 		for id := range progs {
-			b := isa.NewBuilder("dense")
+			b := isa.NewBuilder("spin")
 			if id == loop {
 				for range pad {
 					b.Nop()
@@ -183,10 +182,9 @@ func TestSchedulerBusyLoopEdges(t *testing.T) {
 		// prior, when set, is run first on the machine the event runs
 		// reuse, and interrupted at its first commit while a core is
 		// inside a fast-forwarded loop.
-		prior       func() (*mem.Image, []*isa.Program)
-		wantErr     bool
-		wantHandoff bool
-		check       func(t *testing.T, lockstep *Result)
+		prior   func() (*mem.Image, []*isa.Program)
+		wantErr bool
+		check   func(t *testing.T, lockstep *Result)
 	}{
 		{name: "abort-mid-loop/aborter-below", cores: 2, mode: Eager, pads: 4,
 			build: func(pad int) func() (*mem.Image, []*isa.Program) { return busyAbortScenario(1, 0, pad) },
@@ -195,25 +193,17 @@ func TestSchedulerBusyLoopEdges(t *testing.T) {
 			build: func(pad int) func() (*mem.Image, []*isa.Program) { return busyAbortScenario(0, 1, pad) },
 			watch: abortAt(0), watchCore: 0},
 		{name: "watchdog-mid-loop", cores: 1, mode: Eager, pads: 2, max: maxCycles,
-			build: func(pad int) func() (*mem.Image, []*isa.Program) { return busyDenseScenario(1, 0, pad) },
+			build: func(pad int) func() (*mem.Image, []*isa.Program) { return busySpinScenario(1, 0, pad) },
 			watch: cycleAt(0, maxCycles), watchCore: 0,
 			wantErr: true},
-		{name: "watchdog-mid-loop/after-handoff", cores: 4, mode: Eager, pads: 2, max: maxCycles,
-			// Expires in runDense, which must have been handed core 0
-			// unwound to run the rest of its loop one step at a time.
-			build: func(pad int) func() (*mem.Image, []*isa.Program) { return busyDenseScenario(4, 0, pad) },
-			watch: cycleAt(0, maxCycles), watchCore: 0,
-			wantErr: true, wantHandoff: true},
-		{name: "handoff-mid-loop", cores: 4, mode: Eager, pads: 2,
-			build: func(pad int) func() (*mem.Image, []*isa.Program) { return busyDenseScenario(4, 0, pad) },
-			watch: cycleAt(0, denseWindow), watchCore: 0,
-			wantHandoff: true},
-		{name: "interrupt-mid-loop", cores: 4, mode: Eager, pads: 1,
-			// The reused run's core 0 spins instead: a loop end left over
-			// from the interrupted run would unwind it at the hand-off.
-			prior:       busyDenseScenario(4, 0, 0),
-			build:       func(int) func() (*mem.Image, []*isa.Program) { return busyDenseScenario(4, 3, 0) },
-			wantHandoff: true},
+		{name: "interrupt-mid-loop", cores: 4, mode: Eager, pads: 1, max: maxCycles,
+			// The reused run's core 0 spins instead, and the watchdog
+			// expires while it does: a loop end left over from the
+			// interrupted run would unwind core 0 there and corrupt
+			// WatchdogError.PCs.
+			prior:   busySpinScenario(4, 0, 0),
+			build:   func(int) func() (*mem.Image, []*isa.Program) { return busySpinScenario(4, 3, 0) },
+			wantErr: true},
 		{name: "counter=1", cores: 2, mode: RetCon, pads: 1,
 			build: func(int) func() (*mem.Image, []*isa.Program) { return busyValueScenario(1) }},
 		{name: "counter=0", cores: 2, mode: RetCon, pads: 1,
@@ -283,7 +273,6 @@ func TestSchedulerBusyLoopEdges(t *testing.T) {
 					ev := runBusyRow(t, p, SchedEvent, nil, record, row.prior, build)
 					lock.compare(t, ev, record)
 					sched.BusySkipped += ev.sched.BusySkipped
-					sched.Handoffs += ev.sched.Handoffs
 				}
 				if row.wantErr != (lock.err != nil) {
 					t.Fatalf("pad=%d: lockstep error %v, want error: %v", pad, lock.err, row.wantErr)
@@ -294,9 +283,6 @@ func TestSchedulerBusyLoopEdges(t *testing.T) {
 			}
 			if sched.BusySkipped <= 0 {
 				t.Error("no busy-loop instruction was charged in bulk: the fast-forward never fired")
-			}
-			if row.wantHandoff && sched.Handoffs == 0 {
-				t.Error("no hand-off to the dense loop")
 			}
 			if row.watch != nil && (!seen[0] || !seen[1]) {
 				t.Errorf("lockstep PCs at the unwind points, as offsets from the loop's addi: %v; want both the addi (0) and the bgt (1)", seen)

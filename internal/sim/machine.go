@@ -93,9 +93,9 @@ type Machine struct {
 	// it is a pure function of (spec, params, seed) — never of the
 	// scheduler — so Results stay byte-identical across schedulers.
 	metrics MetricsAgg
-	// schedStats tracks how the event-driven scheduler split the run
-	// between its event loop and the dense inner loop. Deliberately NOT
-	// part of Result: it depends on the scheduler, and Results must not.
+	// schedStats counts the event scheduler's work: the cycles its loop
+	// covered and what it charged in bulk. Deliberately NOT part of
+	// Result: it depends on the scheduler, and Results must not.
 	schedStats SchedStats
 
 	sched      Scheduler
@@ -110,20 +110,15 @@ type Machine struct {
 	wakes []int64
 	// wq is the event loop's wake queue of core masks (see wakeQueue),
 	// kept on the Machine so the loop allocates nothing.
-	//retcon:reset-keep runEvent rebuilds it from core state on every entry
+	//retcon:reset-keep runEvent rebuilds it from core state at the start of every run
 	wq wakeQueue
 	// waiters holds, per core, the mask of cores parked on its
-	// transaction (see wakeWaiters). Only runEvent parks cores, and a
-	// hand-off to the dense loop unparks them all.
+	// transaction (see wakeWaiters). Only runEvent parks cores; the end
+	// of that transaction, or a remote abort of the waiter, unparks them.
 	waiters []uint64
 	// dueNow collects waiters woken for the current cycle after the
 	// executing core's turn; runEvent merges it into the due mask.
 	dueNow uint64
-	// live is the dense loop's reusable live-core list: machine-owned so
-	// steady-state runs allocate nothing in the cycle loops. It holds
-	// pointers — the dense loop iterates it every cycle and must not pay
-	// an ID→Core lookup per core.
-	live []*Core
 	// allCores holds every core ever constructed for this machine; Cores
 	// aliases its prefix, so a core-count shrink does not discard the
 	// higher cores' allocations for a later grow.
@@ -210,7 +205,6 @@ func (m *Machine) Reset(p Params, img *mem.Image, progs []*isa.Program) error {
 	m.waiters = m.waiters[:p.Cores]
 	clear(m.waiters)
 	m.dueNow = 0
-	m.live = m.live[:0]
 	m.Now = 0
 	m.tsCounter = 0
 	m.barrierArrived = 0
@@ -229,9 +223,9 @@ func (m *Machine) Reset(p Params, img *mem.Image, progs []*isa.Program) error {
 
 // Interrupt requests a cooperative abort of the current (or next) Run.
 // It is the ONLY Machine method that is safe to call from another
-// goroutine: it sets an atomic flag that the schedulers poll at their
-// window boundaries (every <= denseWindow visited cycles), so a live
-// machine unwinds within microseconds and Run returns an
+// goroutine: it sets an atomic flag that the schedulers poll (the event
+// loop every interruptWindow simulated cycles, lockstep every 4096), so
+// a live machine unwinds within microseconds and Run returns an
 // *InterruptedError. A hard hang inside a single instruction (a blocked
 // commit observer, a buggy custom scheduler) is not interruptible — the
 // caller's wall-clock deadline must write the goroutine off instead.
@@ -447,8 +441,7 @@ func (c *Core) addCycle(cat Category) { c.chargeCycles(cat, 1) }
 
 // chargeCycles attributes n cycles to a category, accumulating busy and
 // other time inside transactions for reattribution on abort — the bulk
-// form shared by per-cycle attribution, lazy settling, and the dense
-// loop's idle-span skip.
+// form shared by per-cycle attribution and lazy settling.
 //
 //retcon:hotpath cycle attribution; called once per core per visited cycle
 func (c *Core) chargeCycles(cat Category, n int64) {

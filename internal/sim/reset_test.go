@@ -34,7 +34,7 @@ func TestResetEquivalence(t *testing.T) {
 		{"labyrinth", sim.LazyVB, 4, sim.SchedEvent, 0},
 		{"counter", sim.Eager, 2, sim.SchedEvent, 16 << 10}, // cache geometry change
 		{"labyrinth", sim.RetCon, 32, sim.SchedEvent, 0},    // core-count growth, 2 -> 32
-		{"genome", sim.RetCon, 32, sim.SchedEvent, 0},       // dense-phase hand-off path
+		{"genome", sim.RetCon, 32, sim.SchedEvent, 0},       // busy loops run as timed stalls
 		{"counter", sim.Eager, 4, sim.SchedEvent, 0},        // back to the first config
 	}
 

@@ -75,8 +75,8 @@ type lockstepSched struct{}
 // interruptMask gates the lockstep loop's cooperative-interrupt poll to
 // every 4096 cycles: one atomic load per 4096 iterations is invisible in
 // the per-cycle budget, and a wall-clock abandon (the only caller of
-// Interrupt) cares about milliseconds, not cycles. runEvent and runDense
-// poll at their denseWindow boundaries instead.
+// Interrupt) cares about milliseconds, not cycles. runEvent polls every
+// interruptWindow cycles instead.
 const interruptMask = 4096 - 1
 
 func (lockstepSched) Run(m *Machine) error {
@@ -118,8 +118,7 @@ func (lockstepSched) Run(m *Machine) error {
 // Elsewhere a retry is observable — LazyVB and RetCon train the predictor
 // on every NACK, which can change the retry's path, and a recorder logs
 // each NACK at its own cycle — so those waits retry as lockstep does. A
-// remote abort of a parked core, and a hand-off to the dense loop, unpark
-// it first.
+// remote abort of a parked core unparks it first.
 //
 // A counted busy loop (isa.BusyLoop) is a timed wake as well. When a core
 // reaches the loop's addi with a concrete counter, busyLoop runs the whole
@@ -127,11 +126,11 @@ func (lockstepSched) Run(m *Machine) error {
 // CatBusy through the loop's last cycle, so the loop costs one execution
 // and one wake instead of one visit per cycle. ALU ops and branches on
 // concrete registers emit no events, so this holds with a recorder
-// attached too. A remote abort, the watchdog and a hand-off to the dense
-// loop can observe the core mid-loop; each first rebuilds the state
-// lockstep has at that point (unwindBusyLoop).
+// attached too. A remote abort and the watchdog can observe the core
+// mid-loop; each first rebuilds the state lockstep has at that point
+// (unwindBusyLoop).
 //
-// Bookkeeping: every core has exactly one wake time, held in the dense
+// Bookkeeping: every core has exactly one wake time, held in the
 // Machine.wakes array indexed by core ID (rewritten in place by mid-cycle
 // reschedules — remote aborts, barrier releases — so there are no stale
 // queue entries to filter at the source of truth). The wake queue on top
@@ -142,35 +141,12 @@ func (lockstepSched) Run(m *Machine) error {
 // dropped when its cycle comes. Walking a due mask from its lowest bit up
 // is ascending core-ID order, lockstep's order within a cycle, with no
 // sort or merge.
-//
-// Dense phases — every live core executing nearly every cycle, so there is
-// nothing to skip — are where an event queue can only lose: it pays wake
-// writes, queue churn and lazy-attribution bookkeeping per core per
-// cycle and skips nothing in return (measured 0.76–0.80× lockstep on
-// genome@32, whose exec density is 0.76 instructions per live core-cycle,
-// versus 2–4× wins on sparse runs at density ≤ 0.3). runEvent therefore
-// samples exec density over windows of visited cycles and hands such
-// phases to runDense, a lockstep-equivalent inner loop over the live-core
-// list with eager attribution and none of the queue machinery, which hands
-// back when density drops. The switch triggers depend only on simulated
-// state, so scheduling stays deterministic, and runEvent's entry preamble
-// rebuilds the wake table and queue from core state, so the hand-offs are
-// invisible in the Results (the differential oracle and fuzz corpus check
-// this).
 type eventSched struct{}
 
-// Dense-phase detection: the event loop samples exec density — exec calls
-// per live core-cycle, counting skipped cycles in the denominator — over
-// windows of denseWindow cycles and switches to the dense inner loop above
-// denseEnterPct, back below denseExitPct. The hysteresis gap damps
-// oscillation (a switch costs one O(cores) settle/rebuild pass); the
-// thresholds bracket the measured crossover: runs where the event queue
-// wins big sit at ≤30% density, the regressed dense runs at ≥68%.
-const (
-	denseWindow   = 1024
-	denseEnterPct = 55
-	denseExitPct  = 40
-)
+// interruptWindow paces runEvent's cooperative-interrupt poll: it checks
+// the flag once whenever at least this many simulated cycles have passed
+// since the last check.
+const interruptWindow = 1024
 
 // parked marks a core with no timed wake (halted, or waiting at a barrier
 // until a release rewrites its slot). It is the maximum wake time, so it
@@ -182,135 +158,14 @@ func (eventSched) Run(m *Machine) error {
 	defer func() { m.lazyAttr = false }()
 	// Entry check so an interrupt raised before Run (a deadline abandon
 	// racing a pool handoff) fails even a run too short to reach its
-	// first window boundary; the loops poll at the boundaries after this.
+	// first poll; runEvent polls every interruptWindow cycles after this.
 	if m.interrupted.Load() {
 		return m.interruptedErr()
 	}
-	// NACKed cores park only where a skipped retry is unobservable (see
-	// the eventSched doc).
-	park := m.P.Mode == Eager && m.rec == nil
-	for {
-		spanStart := m.Now
-		done, err := m.runEvent(park)
-		m.schedStats.EventCycles += m.Now - spanStart
-		if done || err != nil {
-			return err
-		}
-		// The event loop detected a dense phase. Unpark every NACK waiter
-		// (charging its retries through the current cycle and stalling it
-		// to its next slot), settle every live core's lazy attribution
-		// through the current cycle (each is either fully attributed — it
-		// executed this cycle — or mid-wait with its wait category still
-		// pending, exactly what settle charges), then run eagerly
-		// attributed dense cycles until the phase ends.
-		m.schedStats.Handoffs++
-		for _, c := range m.Cores {
-			if c.parkedOn >= 0 {
-				m.unpark(c, m.Now)
-			}
-			if !c.halted {
-				m.settle(c, m.Now)
-				m.unwindBusyLoop(c, m.Now)
-			}
-		}
-		m.lazyAttr = false
-		spanStart = m.Now
-		done, err = m.runDense()
-		m.schedStats.DenseCycles += m.Now - spanStart
-		m.lazyAttr = true
-		if done || err != nil {
-			return err
-		}
-	}
-}
-
-// runDense is the dense-phase inner loop: lockstep-equivalent stepping
-// (every cycle visited, eager attribution) minus lockstep's overheads — it
-// iterates a compacted live-core list instead of branching over halted
-// cores, inlines the per-core dispatch, and bulk-skips the occasional
-// cycle in which no live core can execute (charging the idle span exactly
-// as lockstep's per-cycle attribution would). It returns done=true when
-// every core has halted, done=false when exec density falls below the exit
-// threshold and the caller should resume the event loop.
-//
-//retcon:hotpath per-cycle inner loop; see TestAllocsPerCycleRegression
-func (m *Machine) runDense() (done bool, err error) {
-	live := m.live[:0]
-	defer func() { m.live = live }()
-	for _, c := range m.Cores {
-		if !c.halted {
-			live = append(live, c)
-		}
-	}
-	winStart, winExec := m.Now, int64(0)
-	for len(live) > 0 {
-		if m.Now >= m.P.MaxCycles {
-			return false, m.watchdogErr()
-		}
-		m.Now++
-		executed := int64(0)
-		for _, c := range live {
-			switch {
-			case c.barrierWait:
-				c.addCycle(CatBarrier)
-			case m.Now <= c.stallUntil:
-				c.addCycle(c.stallCat)
-			default:
-				m.exec(c)
-				executed++
-			}
-		}
-		if m.syncDirty {
-			// A HALT always sets syncDirty (it changes the barrier-release
-			// condition), so this is also the only cycle the live list can
-			// shrink — the per-exec halt check stays off the hot path.
-			m.releaseBarrier()
-			keep := live[:0]
-			for _, c := range live {
-				if !c.halted {
-					keep = append(keep, c)
-				}
-			}
-			live = keep
-		}
-		if m.hookErr != nil {
-			return false, m.hookErr
-		}
-		winExec += executed
-		if executed == 0 && len(live) > 0 {
-			// Idle cycle: nothing can execute before the earliest stall
-			// expiry (a barrier wait ends only through another core's
-			// execution, so if every live core barrier-waits the machine
-			// idles to the watchdog, as lockstep would). Charge the idle
-			// span in bulk and jump.
-			nextWake := neverWakes
-			for _, c := range live {
-				if !c.barrierWait && c.stallUntil < nextWake {
-					nextWake = c.stallUntil
-				}
-			}
-			if k := min(nextWake, m.P.MaxCycles) - m.Now; k > 0 {
-				for _, c := range live {
-					if c.barrierWait {
-						c.chargeCycles(CatBarrier, k)
-					} else {
-						c.chargeCycles(c.stallCat, k)
-					}
-				}
-				m.Now += k
-			}
-		}
-		if m.Now-winStart >= denseWindow {
-			if m.interrupted.Load() {
-				return false, m.interruptedErr()
-			}
-			if winExec*100 < denseExitPct*(m.Now-winStart)*int64(len(live)) {
-				return false, nil
-			}
-			winStart, winExec = m.Now, 0
-		}
-	}
-	return true, nil
+	start := m.Now
+	err := m.runEvent()
+	m.schedStats.EventCycles = m.Now - start
+	return err
 }
 
 // runEvent is the event loop: it visits only the cycles at which some
@@ -323,14 +178,14 @@ func (m *Machine) runDense() (done bool, err error) {
 // next calls out to find the earliest occupied slot, and only a visit at
 // the far set's minimum drains the far set.
 //
-// The preamble rebuilds the wake table and queue from core state alone, so
-// the loop can be entered both at the start of a run and after a dense
-// phase (cores may then be mid-stall or parked at a barrier). It returns
-// done=true when every core has halted, done=false to hand a dense phase
-// to runDense.
+// The preamble, run once at the start of Run, builds the wake table and
+// queue from core state. It returns nil when every core has halted.
 //
 //retcon:hotpath per-cycle event loop; see TestAllocsPerCycleRegression
-func (m *Machine) runEvent(park bool) (done bool, err error) {
+func (m *Machine) runEvent() error {
+	// NACKed cores park on the vetoing transaction only where a skipped
+	// retry is unobservable (see the eventSched doc).
+	park := m.P.Mode == Eager && m.rec == nil
 	m.wq = wakeQueue{farMin: parked}
 	q := &m.wq
 	halted := 0
@@ -350,7 +205,7 @@ func (m *Machine) runEvent(park bool) (done bool, err error) {
 			m.schedule(c.ID, m.Now+1)
 		}
 	}
-	winStart, winExec := m.Now, int64(0)
+	polled := m.Now
 	for halted < n {
 		// Every queued wake lies after m.Now, so the next cycle to visit is
 		// m.Now+1 when the soon mask is set, else the earlier of the first
@@ -368,7 +223,7 @@ func (m *Machine) runEvent(park bool) (done bool, err error) {
 			for _, c := range m.Cores {
 				m.unwindBusyLoop(c, m.Now)
 			}
-			return false, m.watchdogErr()
+			return m.watchdogErr()
 		}
 		m.Now = next
 		due := q.soon // empty unless next is the old m.Now+1
@@ -408,7 +263,6 @@ func (m *Machine) runEvent(park bool) (done bool, err error) {
 			m.exec(c)
 			due |= m.dueNow // waiters woken for this cycle, all above id
 			m.dueNow = 0
-			winExec++
 			switch {
 			case c.halted:
 				halted++
@@ -432,19 +286,16 @@ func (m *Machine) runEvent(park bool) (done bool, err error) {
 			m.releaseBarrier()
 		}
 		if m.hookErr != nil {
-			return false, m.hookErr
+			return m.hookErr
 		}
-		if m.Now-winStart >= denseWindow {
+		if m.Now-polled >= interruptWindow {
 			if m.interrupted.Load() {
-				return false, m.interruptedErr()
+				return m.interruptedErr()
 			}
-			if halted < n && winExec*100 >= denseEnterPct*(m.Now-winStart)*int64(n-halted) {
-				return false, nil
-			}
-			winStart, winExec = m.Now, 0
+			polled = m.Now
 		}
 	}
-	return true, nil
+	return nil
 }
 
 // schedule sets core id's wake to cycle w (after m.Now) and queues it.
@@ -547,11 +398,10 @@ func (m *Machine) busyLoop(c *Core, in *isa.Instr) bool {
 // has not run yet are refunded; the counter is owed the ⌊rem/2⌋
 // decrements still ahead of it; the PC is the addi when rem is even and
 // the bgt when it is odd; and the stall ends at upTo, so the next cycle
-// executes the loop's next instruction. Three places observe a core
+// executes the loop's next instruction. Two places observe a core
 // mid-loop and call it: a remote abort (which then rolls the registers
-// and PC back anyway, but keeps the instruction count), watchdog expiry
-// (WatchdogError.PCs) and the hand-off to runDense, which must never see
-// a fast-forwarded core.
+// and PC back anyway, but keeps the instruction count) and watchdog
+// expiry (WatchdogError.PCs).
 func (m *Machine) unwindBusyLoop(c *Core, upTo int64) {
 	rem := c.loopEnd - upTo
 	c.loopEnd = 0
@@ -578,7 +428,7 @@ const (
 
 // wakeQueue is the event loop's wake queue. Every entry is a core mask:
 //
-//   - soon holds the cores due at Now+1, the dense busy case;
+//   - soon holds the cores due at Now+1, the common busy case;
 //   - slots is a single-level timing wheel over the next wheelSize
 //     cycles, indexed by cycle mod wheelSize, with an occupancy bitmap
 //     (occ) for an O(words) search for the next occupied slot. Every
@@ -590,8 +440,8 @@ const (
 //     cores due then run, and the rest are queued again by their current
 //     wake, so those now within the horizon move into the wheel.
 //
-// The queue lives on the Machine and is rebuilt by runEvent on every
-// entry, so steady-state runs allocate nothing for it.
+// The queue lives on the Machine and is rebuilt by runEvent at the start
+// of every run, so steady-state runs allocate nothing for it.
 type wakeQueue struct {
 	soon   uint64
 	slots  [wheelSize]uint64

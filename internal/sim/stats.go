@@ -103,16 +103,22 @@ type MetricsAgg struct {
 	RepairDelta telemetry.Hist
 }
 
-// SchedStats describes how the event-driven scheduler split a run
-// between its event loop and the dense lockstep-like inner loop, and how
-// many NACKed retries and busy-loop instructions it skipped. It lives on
-// the Machine, not the Result: it is a property of the scheduler, and
-// Results are scheduler-invariant by contract. Under the lockstep
-// scheduler it is all zeros.
+// SchedStats counts the event scheduler's work: the simulated cycles its
+// loop covered and the NACKed retries and busy-loop instructions it
+// charged in bulk instead of executing. It lives on the Machine, not the
+// Result: it is a property of the scheduler, and Results are
+// scheduler-invariant by contract. Under the lockstep scheduler it is all
+// zeros.
 type SchedStats struct {
-	EventCycles int64 // simulated cycles covered by the event loop
-	DenseCycles int64 // simulated cycles covered by the dense inner loop
-	Handoffs    int64 // event->dense mode switches
+	// EventCycles is the simulated cycles the event loop covered: every
+	// cycle of an event-scheduled run. DenseCycles and Handoffs are
+	// always zero, since the event loop is the only loop. All three stay
+	// only because the benchmark's sim.dense_cycle_frac and sim.handoffs
+	// metrics read them; its next definition change deletes those
+	// metrics, and then these fields.
+	EventCycles int64
+	DenseCycles int64
+	Handoffs    int64
 	// ParkedRetries counts the NACKed retries charged in bulk to cores
 	// parked on the vetoing transaction instead of executed. They are in
 	// CoreStats.Instrs and Nacks like every executed retry.

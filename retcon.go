@@ -110,9 +110,9 @@ func RunSeeded(w Workload, cfg Config, seed int64) (*Result, error) {
 // typed telemetry.Event (see internal/telemetry). The recorded stream
 // is a pure function of (workload, cfg, seed) — byte-identical across
 // schedulers — and the machine flushes the recorder when the run ends;
-// check rec.Err afterwards for sink failures. The result additionally carries the scheduler-occupancy counters in
-// Sched (how the event scheduler split the run between its event loops
-// and the dense inner loop — all zeros under lockstep).
+// check rec.Err afterwards for sink failures. The result additionally
+// carries the event scheduler's counters in Sched (all zeros under
+// lockstep).
 func RunRecorded(w Workload, cfg Config, seed int64, rec *telemetry.Recorder) (*Result, error) {
 	bundle := w.Build(cfg.Cores, seed)
 	machine, err := sim.New(cfg, bundle.Mem, bundle.Programs)
