@@ -204,8 +204,11 @@ func TestKillAndResume(t *testing.T) {
 		t.Fatalf("pass A journaled %d runs, want 48", jA.Len())
 	}
 
-	// Pass B: checkpoint at the first emission, like a SIGINT handler
-	// closing the stop channel mid-sweep.
+	// Pass B: checkpoint as soon as the first run starts, like a SIGINT
+	// handler closing the stop channel mid-sweep. Closing it from inside
+	// the runner, rather than at the first emission, interrupts the pass
+	// however fast the runs are: when the first run starts, most of the
+	// grid is still undispatched.
 	pathB := filepath.Join(dir, "b.jsonl")
 	jB, err := sweep.OpenJournal(pathB, false)
 	if err != nil {
@@ -213,11 +216,14 @@ func TestKillAndResume(t *testing.T) {
 	}
 	stop := make(chan struct{})
 	var once sync.Once
-	var outsB []sweep.Outcome
-	engine(jB, stop).ExecuteStream(runs, func(o sweep.Outcome) {
-		outsB = append(outsB, o)
+	engineB := engine(jB, stop)
+	runner := plan.Runner()
+	engineB.Tasks = func(task sweep.Task) (*sim.Result, error) {
 		once.Do(func() { close(stop) })
-	})
+		return runner(task)
+	}
+	var outsB []sweep.Outcome
+	engineB.ExecuteStream(runs, func(o sweep.Outcome) { outsB = append(outsB, o) })
 	if err := jB.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,8 @@ import (
 )
 
 func testState(ivb, cons, ssb int) (*State, *mem.Image) {
-	img := mem.NewImage(1 << 16)
+	img := mem.NewImage()
+	img.AllocBlocks(1 << 16) // backs the raw block numbers some tests track
 	return NewState(Config{IVBEntries: ivb, ConstraintEntries: cons, SSBEntries: ssb}), img
 }
 

@@ -38,15 +38,14 @@ func wordBlocks(n int) int64 { return int64(n+mem.WordsPerBlock-1) / mem.WordsPe
 // ISA program per core. It validates first, so a malformed Prog (e.g. a
 // hostile corpus file) fails here rather than panicking mid-simulation.
 //
-// The image holds exactly the layout: the reserved block 0, the shared
-// words, the table and one private block per core, in bump-allocation
-// order. An access outside the layout is out of the image and fails.
+// The layout is the reserved block 0, the shared words, the table and one
+// private block per core, in bump-allocation order. Like every image, the
+// image holds exactly its layout, so an access outside it fails.
 func Compile(p *Prog) (*mem.Image, []*isa.Program, *layout, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, nil, err
 	}
-	blocks := 1 + wordBlocks(len(p.Words)) + wordBlocks(p.TableSlots) + int64(p.Cores)*wordBlocks(privWords)
-	img := mem.NewImage(blocks * mem.BlockSize)
+	img := mem.NewImage()
 	lay := &layout{sharedBase: img.AllocBlocks(int64(len(p.Words)) * mem.WordSize)}
 	for i, w := range p.Words {
 		img.Write64(lay.wordAddr(i), w.Init)

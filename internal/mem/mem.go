@@ -38,17 +38,12 @@ type Image struct {
 	brk  int64
 }
 
-// NewImage creates a memory image of the given size in bytes, rounded up
-// to a whole number of cache blocks so that every byte of the image lies in
-// a complete block (the coherence directory is a dense per-block array
-// sized by Blocks). The first block is reserved so that address 0 is never
-// a valid allocation (workloads use 0 as a null/empty sentinel).
-func NewImage(size int64) *Image {
-	if size < 2*BlockSize {
-		size = 2 * BlockSize
-	}
-	size = (size + BlockSize - 1) &^ (BlockSize - 1)
-	return &Image{data: make([]byte, size), brk: BlockSize}
+// NewImage creates an empty memory image holding only the reserved first
+// block, so that address 0 is never a valid allocation (workloads use 0 as
+// a null/empty sentinel). The image grows with each Alloc and always spans
+// exactly the laid-out bytes, rounded up to a whole cache block.
+func NewImage() *Image {
+	return &Image{data: make([]byte, BlockSize), brk: BlockSize}
 }
 
 // Clone returns an independent copy of the image: the same bytes and the
@@ -59,14 +54,16 @@ func (m *Image) Clone() *Image { return &Image{data: slices.Clone(m.data), brk: 
 // Size returns the total size of the image in bytes.
 func (m *Image) Size() int64 { return int64(len(m.data)) }
 
-// Blocks returns the number of cache blocks the image spans. Block numbers
-// 0..Blocks()-1 are exactly the valid blocks; any access outside them is
-// out of the image and fails loudly.
+// Blocks returns the number of cache blocks the image spans: the reserved
+// block plus the block-rounded layout. Block numbers 0..Blocks()-1 are
+// exactly the valid blocks; any access outside them is out of the image and
+// fails loudly. The coherence directory is a dense per-block array sized by
+// Blocks, so a machine must be built after the layout is complete.
 func (m *Image) Blocks() int64 { return int64(len(m.data)) >> BlockShift }
 
 // Alloc reserves n bytes aligned to align (a power of two, at least 1) and
-// returns the base address. It panics when the image is exhausted; workload
-// layout is computed at build time, so exhaustion is a configuration bug.
+// returns the base address. The image grows, zero-filled, to the new break
+// rounded up to a whole cache block.
 func (m *Image) Alloc(n, align int64) int64 {
 	if n < 0 {
 		panic("mem: negative allocation")
@@ -75,10 +72,16 @@ func (m *Image) Alloc(n, align int64) int64 {
 		panic(fmt.Sprintf("mem: bad alignment %d", align))
 	}
 	base := (m.brk + align - 1) &^ (align - 1)
-	if base+n > int64(len(m.data)) {
-		panic(fmt.Sprintf("mem: out of memory: need %d bytes at %d, image size %d", n, base, len(m.data)))
-	}
 	m.brk = base + n
+	if end := (m.brk + BlockSize - 1) &^ (BlockSize - 1); end > int64(len(m.data)) {
+		// Grow the capacity at least twofold, so a layout of many large
+		// allocations copies each byte O(1) times; bytes past the length
+		// are never written, so the extension reads as zero.
+		if end > int64(cap(m.data)) {
+			m.data = slices.Grow(m.data, int(max(end, 2*int64(cap(m.data))))-len(m.data))
+		}
+		m.data = m.data[:end]
+	}
 	return base
 }
 

@@ -15,7 +15,7 @@ import (
 // loop's fast-forward charges. The final counter is min(count,1)−1.
 func TestBusyLoopInstrCount(t *testing.T) {
 	for _, count := range []int64{-7, -1, 0, 1, 2, 5, 64} {
-		img := mem.NewImage(1 << 16)
+		img := mem.NewImage()
 		b := isa.NewBuilder("busy")
 		b.BusyLoop(isa.R(1), count, "loop")
 		b.Halt()
@@ -82,7 +82,7 @@ func cycleAt(v int, t int64) func() func(m *Machine, before int) (int, bool) {
 // abort over both PCs of the loop.
 func busyAbortScenario(victim, aborter, pad int) func() (*mem.Image, []*isa.Program) {
 	return func() (*mem.Image, []*isa.Program) {
-		img := mem.NewImage(1 << 16)
+		img := mem.NewImage()
 		x := img.AllocBlocks(mem.BlockSize)
 		progs := make([]*isa.Program, 2)
 		b := isa.NewBuilder("victim")
@@ -112,7 +112,7 @@ func busyAbortScenario(victim, aborter, pad int) func() (*mem.Image, []*isa.Prog
 // loop visits every cycle while core loop is inside its busy loop.
 func busySpinScenario(cores, loop, pad int) func() (*mem.Image, []*isa.Program) {
 	return func() (*mem.Image, []*isa.Program) {
-		img := mem.NewImage(1 << 16)
+		img := mem.NewImage()
 		progs := make([]*isa.Program, cores)
 		for id := range progs {
 			b := isa.NewBuilder("spin")
@@ -138,7 +138,7 @@ func busySpinScenario(cores, loop, pad int) func() (*mem.Image, []*isa.Program) 
 // inside a transaction, and stores each final counter.
 func busyValueScenario(v int64) func() (*mem.Image, []*isa.Program) {
 	return func() (*mem.Image, []*isa.Program) {
-		img := mem.NewImage(1 << 16)
+		img := mem.NewImage()
 		out := img.AllocBlocks(2 * mem.BlockSize)
 		progs := make([]*isa.Program, 2)
 		for id := range progs {
@@ -216,7 +216,7 @@ func TestSchedulerBusyLoopEdges(t *testing.T) {
 			// instruction. The other cores' busy loops fast-forward.
 			build: func(int) func() (*mem.Image, []*isa.Program) {
 				return func() (*mem.Image, []*isa.Program) {
-					img := mem.NewImage(1 << 20)
+					img := mem.NewImage()
 					_, progs := stealProgs(img, 5, 5, func(b *isa.Builder, a int64) {
 						b.TxBegin()
 						b.Ld(isa.R(4), isa.Zero, a, 8)
@@ -238,7 +238,7 @@ func TestSchedulerBusyLoopEdges(t *testing.T) {
 		{name: "jump-to-bgt", cores: 1, mode: Eager, pads: 1,
 			build: func(int) func() (*mem.Image, []*isa.Program) {
 				return func() (*mem.Image, []*isa.Program) {
-					img := mem.NewImage(1 << 16)
+					img := mem.NewImage()
 					out := img.AllocBlocks(mem.BlockSize)
 					b := isa.NewBuilder("jump")
 					b.Li(isa.R(1), 7)

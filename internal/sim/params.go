@@ -76,8 +76,7 @@ type Params struct {
 	IdealParallelReacquire bool // reacquire lost blocks in parallel at commit
 	IdealZeroStoreLatency  bool // reperform stores into the cache for free
 
-	// Memory image size and the watchdog bound on simulated cycles.
-	MemBytes  int64
+	// Watchdog bound on simulated cycles.
 	MaxCycles int64
 }
 
@@ -103,7 +102,6 @@ func DefaultParams() Params {
 		Retcon:           core.DefaultConfig(),
 		PromoteAfter:     1,
 		ViolationPenalty: 100,
-		MemBytes:         64 << 20,
 		MaxCycles:        2_000_000_000,
 	}
 }
@@ -136,9 +134,6 @@ func (p *Params) Validate() error {
 	}
 	if p.Sched < SchedEvent || p.Sched > SchedLockstep {
 		return fmt.Errorf("sim: invalid scheduler %d", p.Sched)
-	}
-	if p.MemBytes < 1<<12 {
-		return fmt.Errorf("sim: memory too small (%d bytes)", p.MemBytes)
 	}
 	if p.MaxCycles <= 0 {
 		return fmt.Errorf("sim: MaxCycles must be positive")

@@ -183,7 +183,7 @@ func TestResetClearsObservers(t *testing.T) {
 // programs are validated/constructed to stay in the image, so an
 // out-of-image access is always a program-construction bug.)
 func TestOutOfImageAccessFailsLoudly(t *testing.T) {
-	img := mem.NewImage(1 << 12) // 64 blocks
+	img := mem.NewImage() // only the reserved block
 	b := isa.NewBuilder("oob")
 	b.Li(isa.Reg(1), img.Size()+mem.BlockSize) // address beyond the image
 	b.Ld(isa.Reg(2), isa.Reg(1), 0, 8)

@@ -103,7 +103,7 @@ func TestSchedulerEquivalenceCounter(t *testing.T) {
 // event scheduler must handle without a stall expiry to jump to.
 func TestSchedulerEquivalenceBarrier(t *testing.T) {
 	build := func() (*mem.Image, []*isa.Program) {
-		img := mem.NewImage(1 << 20)
+		img := mem.NewImage()
 		arr := img.AllocBlocks(4 * mem.BlockSize)
 		out := img.AllocBlocks(4 * mem.BlockSize)
 		progs := make([]*isa.Program, 4)
@@ -142,7 +142,7 @@ func TestSchedulerEquivalenceBarrier(t *testing.T) {
 // lockstep point before reattribution.
 func TestSchedulerEquivalenceRemoteAbort(t *testing.T) {
 	build := func() (*mem.Image, []*isa.Program) {
-		img := mem.NewImage(1 << 20)
+		img := mem.NewImage()
 		x := img.AllocBlocks(mem.BlockSize)
 		done := img.AllocBlocks(mem.BlockSize)
 
@@ -176,7 +176,7 @@ func TestSchedulerEquivalenceRemoteAbort(t *testing.T) {
 // category, and the RetconAgg bookkeeping.
 func TestSchedulerEquivalenceSymbolicRepair(t *testing.T) {
 	build := func() (*mem.Image, []*isa.Program) {
-		img := mem.NewImage(1 << 20)
+		img := mem.NewImage()
 		a := img.AllocBlocks(mem.BlockSize)
 		bAddr := img.AllocBlocks(mem.BlockSize)
 		flag := img.AllocBlocks(mem.BlockSize)
@@ -232,7 +232,7 @@ func TestSchedulerEquivalenceSymbolicRepair(t *testing.T) {
 func TestSchedulerWatchdogEquivalence(t *testing.T) {
 	errs := make(map[SchedKind]string, 2)
 	for _, kind := range []SchedKind{SchedLockstep, SchedEvent} {
-		img := mem.NewImage(1 << 20)
+		img := mem.NewImage()
 		arr := img.AllocBlocks(64 * mem.BlockSize)
 		b := isa.NewBuilder("overflow")
 		b.TxBegin()
@@ -267,7 +267,7 @@ func TestSchedulerWatchdogEquivalence(t *testing.T) {
 // exercises the halt-triggered release path.
 func TestSchedulerLoneBarrierReleases(t *testing.T) {
 	build := func() (*mem.Image, []*isa.Program) {
-		img := mem.NewImage(1 << 16)
+		img := mem.NewImage()
 		// Core 0 arrives at a second barrier after core 1 has halted; with
 		// one live core the barrier releases immediately.
 		b0 := isa.NewBuilder("straggler")
@@ -361,7 +361,7 @@ func (l *eventLog) WriteEvents(evs []telemetry.Event) error {
 // holder just before its commit, any other core first.
 func parkScenario(cores, holder, waiter, aborter int, hold int64, padded, pad int) func() (*mem.Image, []*isa.Program) {
 	return func() (*mem.Image, []*isa.Program) {
-		img := mem.NewImage(1 << 16)
+		img := mem.NewImage()
 		x := img.AllocBlocks(mem.BlockSize)
 		y := img.AllocBlocks(mem.BlockSize)
 		progs := make([]*isa.Program, cores)

@@ -14,7 +14,7 @@ import (
 // cores runs ops transactions of incs increments, with optional private
 // busy work, then a barrier and halt.
 func buildCounter(cores, ops, incs, busy int) (*mem.Image, int64, []*isa.Program) {
-	img := mem.NewImage(1 << 20)
+	img := mem.NewImage()
 	counter := img.AllocBlocks(mem.BlockSize)
 	progs := make([]*isa.Program, cores)
 	for i := 0; i < cores; i++ {
@@ -133,7 +133,7 @@ func TestRetConEliminatesCounterConflicts(t *testing.T) {
 // loses A to a remote writer mid-transaction, and must repair at commit:
 // the final value of A is remoteValue+increment and the constraints hold.
 func TestFigure8Scenario(t *testing.T) {
-	img := mem.NewImage(1 << 20)
+	img := mem.NewImage()
 	a := img.AllocBlocks(mem.BlockSize)
 	bAddr := img.AllocBlocks(mem.BlockSize)
 	flag := img.AllocBlocks(mem.BlockSize)
@@ -212,7 +212,7 @@ func TestFigure8Scenario(t *testing.T) {
 // and the remote update breaks the constraint, forcing an abort and a
 // correct re-execution.
 func TestConstraintViolationAborts(t *testing.T) {
-	img := mem.NewImage(1 << 20)
+	img := mem.NewImage()
 	a := img.AllocBlocks(mem.BlockSize)
 	out := img.AllocBlocks(mem.BlockSize)
 	flag := img.AllocBlocks(mem.BlockSize)
@@ -276,7 +276,7 @@ func TestConstraintViolationAborts(t *testing.T) {
 
 // TestSubWordAccess exercises 1/2/4-byte transactional accesses.
 func TestSubWordAccess(t *testing.T) {
-	img := mem.NewImage(1 << 20)
+	img := mem.NewImage()
 	base := img.AllocBlocks(mem.BlockSize)
 	b := isa.NewBuilder("subword")
 	b.TxBegin()
@@ -292,7 +292,7 @@ func TestSubWordAccess(t *testing.T) {
 	b.Barrier()
 	b.Halt()
 	for _, mode := range []Mode{Eager, LazyVB, RetCon} {
-		img2 := mem.NewImage(1 << 20)
+		img2 := mem.NewImage()
 		img2.AllocBlocks(mem.BlockSize)
 		runMachine(t, testParams(1, mode), img2, []*isa.Program{b.MustAssemble()})
 		if got := img2.Read64(base + 8); got != 0xAABB {
@@ -310,7 +310,7 @@ func TestSubWordAccess(t *testing.T) {
 // TestBarrierSynchronizes: a two-phase program where phase 2 must observe
 // phase 1 of every core.
 func TestBarrierSynchronizes(t *testing.T) {
-	img := mem.NewImage(1 << 20)
+	img := mem.NewImage()
 	arr := img.AllocBlocks(4 * mem.BlockSize)
 	out := img.AllocBlocks(4 * mem.BlockSize)
 	progs := make([]*isa.Program, 4)
@@ -391,7 +391,7 @@ func TestDeterminism(t *testing.T) {
 // loops forever; the watchdog converts that into an error, which is the
 // documented OneTM-fallback boundary of this model.
 func TestSpecOverflowAborts(t *testing.T) {
-	img := mem.NewImage(1 << 20)
+	img := mem.NewImage()
 	arr := img.AllocBlocks(64 * mem.BlockSize)
 	b := isa.NewBuilder("overflow")
 	b.TxBegin()
@@ -420,7 +420,7 @@ func TestSpecOverflowAborts(t *testing.T) {
 // TestNonTxWinsConflicts: a non-transactional store must abort a
 // conflicting transaction rather than deadlock.
 func TestNonTxWinsConflicts(t *testing.T) {
-	img := mem.NewImage(1 << 20)
+	img := mem.NewImage()
 	x := img.AllocBlocks(mem.BlockSize)
 	done := img.AllocBlocks(mem.BlockSize)
 
@@ -476,7 +476,7 @@ func TestIdealizedKnobs(t *testing.T) {
 // without interference once the predictor engages.
 func TestLazyVBFalseSharingImmunity(t *testing.T) {
 	build := func() (*mem.Image, int64, []*isa.Program) {
-		img := mem.NewImage(1 << 20)
+		img := mem.NewImage()
 		blk := img.AllocBlocks(mem.BlockSize)
 		progs := make([]*isa.Program, 2)
 		for i := 0; i < 2; i++ {
@@ -538,7 +538,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestProgramMismatch(t *testing.T) {
-	img := mem.NewImage(1 << 16)
+	img := mem.NewImage()
 	if _, err := New(testParams(2, Eager), img, nil); err == nil {
 		t.Error("program count mismatch must error")
 	}
@@ -609,7 +609,7 @@ func TestOnCommitObserver(t *testing.T) {
 // TestNewRejectsInvalidProgram: machine construction validates programs
 // (the fuzz-generator hook) instead of panicking mid-run.
 func TestNewRejectsInvalidProgram(t *testing.T) {
-	img := mem.NewImage(1 << 16)
+	img := mem.NewImage()
 	bad := &isa.Program{Name: "bad", Instrs: []isa.Instr{{Op: isa.Jmp, Target: 99}}}
 	if _, err := New(testParams(1, Eager), img, []*isa.Program{bad}); err == nil {
 		t.Fatal("invalid program must be rejected at construction")

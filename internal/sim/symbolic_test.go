@@ -17,7 +17,7 @@ import (
 func twoCoreScenario(t *testing.T, init int64, stealVal int64,
 	bodyFn func(b *isa.Builder, a int64)) (*mem.Image, int64, *Result) {
 	t.Helper()
-	img := mem.NewImage(1 << 20)
+	img := mem.NewImage()
 	a, progs := stealProgs(img, init, stealVal, bodyFn)
 	res := runMachine(t, testParams(2, RetCon), img, progs)
 	return img, a, res
@@ -184,7 +184,7 @@ func TestSymbolicRegisterLiveOut(t *testing.T) {
 // root (equality) and keeps tracking through the first; stealing the
 // second root's block with a different value aborts.
 func TestTwoSymbolicInputsPinOne(t *testing.T) {
-	img := mem.NewImage(1 << 20)
+	img := mem.NewImage()
 	a := img.AllocBlocks(mem.BlockSize)
 	b2 := img.AllocBlocks(mem.BlockSize)
 	img.Write64(a, 10)
@@ -213,7 +213,7 @@ func TestTwoSymbolicInputsPinOne(t *testing.T) {
 // random DRAM misses must be slower than the unthrottled machine.
 func TestDRAMOccupancyThrottles(t *testing.T) {
 	build := func() (*mem.Image, []*isa.Program) {
-		img := mem.NewImage(64 << 20)
+		img := mem.NewImage()
 		arr := img.AllocBlocks(1 << 22) // 4MB, busts the L2
 		progs := make([]*isa.Program, 8)
 		for i := 0; i < 8; i++ {
@@ -254,7 +254,7 @@ func TestDRAMOccupancyThrottles(t *testing.T) {
 // every transaction eventually commits (the watchdog would fire
 // otherwise) and total work is conserved.
 func TestOldestWinsProgress(t *testing.T) {
-	img := mem.NewImage(1 << 20)
+	img := mem.NewImage()
 	blocks := make([]int64, 4)
 	for i := range blocks {
 		blocks[i] = img.AllocBlocks(mem.BlockSize)
@@ -283,7 +283,7 @@ func TestOldestWinsProgress(t *testing.T) {
 		progs[i] = b.MustAssemble()
 	}
 	for _, mode := range []Mode{Eager, LazyVB, RetCon} {
-		img2 := mem.NewImage(1 << 20)
+		img2 := mem.NewImage()
 		for range blocks {
 			img2.AllocBlocks(mem.BlockSize)
 		}

@@ -122,7 +122,6 @@ type ParamPatch struct {
 	IdealParallelReacquire *bool `json:"ideal_parallel_reacquire,omitempty"`
 	IdealZeroStoreLatency  *bool `json:"ideal_zero_store_latency,omitempty"`
 
-	MemBytes  *int64 `json:"mem_bytes,omitempty"`
 	MaxCycles *int64 `json:"max_cycles,omitempty"`
 
 	// Sched selects the cycle-loop scheduler: "event" (time-skip, the
@@ -176,7 +175,6 @@ func (pp *ParamPatch) Apply(p *sim.Params) error {
 	setBool(&p.IdealUnlimited, pp.IdealUnlimited)
 	setBool(&p.IdealParallelReacquire, pp.IdealParallelReacquire)
 	setBool(&p.IdealZeroStoreLatency, pp.IdealZeroStoreLatency)
-	set64(&p.MemBytes, pp.MemBytes)
 	set64(&p.MaxCycles, pp.MaxCycles)
 	if pp.Sched != nil {
 		p.Sched = sched

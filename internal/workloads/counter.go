@@ -30,7 +30,7 @@ func (w *Counter) Description() string {
 
 // Build implements Workload.
 func (w *Counter) Build(threads int, seed int64) *Bundle {
-	img := mem.NewImage(1 << 20)
+	img := mem.NewImage()
 	counter := img.AllocBlocks(mem.BlockSize)
 
 	progs := make([]*isa.Program, threads)

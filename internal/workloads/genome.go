@@ -69,7 +69,7 @@ func (w *Genome) Build(threads int, seed int64) *Bundle {
 		keys[i] = 1 + r.intn(w.UniqueKeys) // nonzero keys
 	}
 
-	img := mem.NewImage(16 << 20)
+	img := mem.NewImage()
 	ht := newHashTable(img, w.TableBits, w.Resizable, int64(w.UniqueKeys)*4)
 	ht.capacityCheck(len(distinct(keys)))
 	work := splitWork(keys, threads)

@@ -108,7 +108,7 @@ func (w *Intruder) Build(threads int, seed int64) *Bundle {
 		flowKeys[i] = flow
 	}
 
-	img := mem.NewImage(64 << 20)
+	img := mem.NewImage()
 	ht := newHashTable(img, w.TableBits, w.Resizable, w.Flows*4)
 	ht.capacityCheck(len(distinct(flowKeys)))
 

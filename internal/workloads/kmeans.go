@@ -42,7 +42,7 @@ func (w *KMeans) Build(threads int, seed int64) *Bundle {
 	}
 	total := w.PointsPer * base
 
-	img := mem.NewImage(16 << 20)
+	img := mem.NewImage()
 
 	// Read-only centers: Clusters x Dims words.
 	centerBase := img.AllocBlocks(w.Clusters * w.Dims * 8)

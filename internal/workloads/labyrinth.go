@@ -41,7 +41,7 @@ func (w *Labyrinth) Build(threads int, seed int64) *Bundle {
 	}
 	total := w.PathsPer * base
 
-	img := mem.NewImage(16 << 20)
+	img := mem.NewImage()
 	grid := img.AllocBlocks(w.GridWords * 8)
 
 	// Paths: heavy-tailed lengths (1x..8x MinLen), each a list of random

@@ -113,7 +113,7 @@ func (w *Python) Build(threads int, seed int64) *Bundle {
 		threadStreams[t] = stream
 	}
 
-	img := mem.NewImage(64 << 20)
+	img := mem.NewImage()
 	objBase := img.AllocBlocks(nObj * mem.BlockSize)
 	initialRC := int64(1)
 	var valueSum int64

@@ -41,7 +41,7 @@ func (w *SSCA2) Build(threads int, seed int64) *Bundle {
 	}
 	total := w.EdgesPer * base
 
-	img := mem.NewImage(64 << 20)
+	img := mem.NewImage()
 	// Degree counters: one word per node, spread one per block so random
 	// accesses miss (the paper's bad cache behavior).
 	degBase := img.AllocBlocks(w.Nodes * 8)

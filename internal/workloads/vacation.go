@@ -123,7 +123,7 @@ func (w *Vacation) Build(threads int, seed int64) *Bundle {
 		}
 	}
 
-	img := mem.NewImage(32 << 20)
+	img := mem.NewImage()
 	if w.Opt {
 		return w.buildHashVariant(img, items, threads, inserts, reserves)
 	}
@@ -283,6 +283,9 @@ func (w *Vacation) verifyTree(img *mem.Image, root, visitBase, recBase, maxKey i
 		}
 		if seen[addr] {
 			return verifyErr(w.Name(), "tree node %#x reached twice (cycle)", addr)
+		}
+		if !inImage(img, addr, vnCount+mem.WordSize) {
+			return verifyErr(w.Name(), "tree link %#x points outside the image", addr)
 		}
 		seen[addr] = true
 		key := img.Read64(addr + vnKey)

@@ -8,6 +8,12 @@
 // final memory image — the correctness oracle for the HTM and for RETCON's
 // repair. DESIGN.md documents how each kernel maps to its STAMP original.
 //
+// A kernel never states its image size: it starts from mem.NewImage and
+// allocates its layout, and the image grows to exactly that layout. A
+// verifier reads only laid-out words and bounds-checks every link it
+// follows, so a corrupt final image fails verification with an error
+// rather than a panic.
+//
 // # Kernels
 //
 // Nine kernel families expand to the registry's fifteen named variants
@@ -197,6 +203,10 @@ func distinct(items []int64) []int64 {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
+
+// inImage reports whether the n bytes at addr lie inside img. Verifiers
+// check each link they follow with it (see the package doc).
+func inImage(img *mem.Image, addr, n int64) bool { return addr >= 0 && addr <= img.Size()-n }
 
 // verifyErr builds a consistent verification error.
 func verifyErr(workload, format string, args ...interface{}) error {

@@ -133,7 +133,32 @@ func TestVerifierCatchesCorruption(t *testing.T) {
 		if !caught {
 			t.Errorf("%s: verifier accepted 64 distinct corruptions", w.Name())
 		}
+		// An out-of-image value in any word (a corrupt link) must fail
+		// verification with an error, never panic the verifier.
+		for _, bad := range []int64{1 << 40, -8} {
+			caught := false
+			for addr := int64(0); addr+mem.WordSize <= b.Mem.Size(); addr += mem.WordSize {
+				old := b.Mem.Read64(addr)
+				b.Mem.Write64(addr, bad)
+				panicked, err := verifyRecover(b)
+				b.Mem.Write64(addr, old)
+				if panicked != nil {
+					t.Fatalf("%s: verifier panicked with %d at word %#x: %v", w.Name(), bad, addr, panicked)
+				}
+				caught = caught || err != nil
+			}
+			if !caught {
+				t.Errorf("%s: verifier accepted %d in every word", w.Name(), bad)
+			}
+		}
 	}
+}
+
+// verifyRecover runs the bundle's verifier on its image and returns the
+// verdict, or the panic value when the verifier panics.
+func verifyRecover(b *Bundle) (panicked any, err error) {
+	defer func() { panicked = recover() }()
+	return nil, b.Verify(b.Mem)
 }
 
 func TestRegistry(t *testing.T) {

@@ -48,7 +48,7 @@ func (w *Yada) Build(threads int, seed int64) *Bundle {
 	}
 	total := w.OpsPer * base
 
-	img := mem.NewImage(16 << 20)
+	img := mem.NewImage()
 	nodeBase := img.AllocBlocks(w.MeshNodes * mem.BlockSize)
 	// Circular singly-linked mesh.
 	for i := int64(0); i < w.MeshNodes; i++ {
@@ -132,6 +132,9 @@ func (w *Yada) Build(threads int, seed int64) *Bundle {
 				cur = img.Read64(cur + ynNext)
 				if cur == 0 {
 					return verifyErr(w.Name(), "mesh walk hit a nil link after %d nodes (torn splice)", count)
+				}
+				if !inImage(img, cur, ynNext+mem.WordSize) {
+					return verifyErr(w.Name(), "mesh link %#x points outside the image", cur)
 				}
 				if cur == start {
 					break

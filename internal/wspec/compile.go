@@ -116,25 +116,8 @@ func (w *Workload) Build(threads int, seed int64) *workloads.Bundle {
 		}
 	})
 
-	// Layout plan: objects in declaration order, then the streams.
-	roundUp := func(n int64) int64 { return (n + mem.BlockSize - 1) &^ (mem.BlockSize - 1) }
-	total := int64(mem.BlockSize) // reserved null block
-	for i := range rs.objects {
-		o := &rs.objects[i]
-		switch o.kind {
-		case oArray:
-			total += roundUp(int64(o.cells) * cellStride(o))
-		case oTable:
-			total += roundUp(int64(o.slots) * mem.WordSize)
-		case oQueue:
-			total += 3*mem.BlockSize + roundUp(int64(o.cap)*mem.WordSize)
-		}
-	}
-	for _, n := range streamWords {
-		total += roundUp(n * mem.WordSize)
-	}
-	img := mem.NewImage(total)
-
+	// Layout: objects in declaration order, then the streams.
+	img := mem.NewImage()
 	layout := make([]objLayout, len(rs.objects))
 	for i := range rs.objects {
 		o := &rs.objects[i]
