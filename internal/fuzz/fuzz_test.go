@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -249,6 +250,49 @@ func BenchmarkCheck(b *testing.B) {
 			if d := Check(Generate(seed, GenOptions{}), Options{}); d != nil {
 				b.Fatal(d)
 			}
+		}
+	}
+}
+
+// TestGeneratedParkedRetries reaches the event scheduler's parked-NACK
+// path with generated programs. Check records every run, and a recorded
+// run never parks, so this runs each program once more per scheduler
+// with no recorder and requires lockstep's Result and final image from
+// the event run. Most programs NACK, so every mode must park some core.
+func TestGeneratedParkedRetries(t *testing.T) {
+	for _, mode := range []sim.Mode{sim.Eager, sim.LazyVB, sim.RetCon} {
+		parked := 0
+		for seed := int64(0); seed < 200; seed++ {
+			prog := Generate(seed, GenOptions{})
+			img, progs, _, err := Compile(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res [2]*sim.Result
+			var imgs [2]*mem.Image
+			for i, kind := range []sim.SchedKind{sim.SchedLockstep, sim.SchedEvent} {
+				imgs[i] = img.Clone()
+				m, err := sim.New(runParams(prog, mode, kind, Options{}), imgs[i], progs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res[i], err = m.Run(); err != nil {
+					t.Fatalf("seed %d mode %v sched %v: %v", seed, mode, kind, err)
+				}
+				if kind == sim.SchedEvent && m.SchedStats().ParkedRetries > 0 {
+					parked++
+				}
+			}
+			if !reflect.DeepEqual(res[0], res[1]) {
+				t.Errorf("seed %d mode %v: results diverge:\nlockstep: %+v\nevent:    %+v", seed, mode, res[0], res[1])
+			}
+			if !imgs[0].Equal(imgs[1]) {
+				t.Errorf("seed %d mode %v: final memory diverges at word %#x", seed, mode, imgs[0].DiffWord(imgs[1]))
+			}
+		}
+		t.Logf("mode %v: %d/200 programs parked a NACKed core", mode, parked)
+		if parked == 0 {
+			t.Errorf("mode %v: no generated program parked a NACKed core", mode)
 		}
 	}
 }

@@ -154,14 +154,14 @@ func (e *replayErr) Error() string { return e.inner.Error() }
 // change any oracle's verdict.
 var machines sim.MachinePool
 
-func (c *checker) runSched(mode sim.Mode, kind sim.SchedKind, trace *eventLog) *runOut {
-	p := c.p
-	img := c.img.Clone()
+// runParams returns the machine parameters that run program p in mode
+// under scheduler kind.
+func runParams(p *Prog, mode sim.Mode, kind sim.SchedKind, o Options) sim.Params {
 	params := sim.DefaultParams()
 	params.Cores = p.Cores
 	params.Mode = mode
 	params.Sched = kind
-	params.MaxCycles = c.o.maxCycles()
+	params.MaxCycles = o.maxCycles()
 	if p.IVB > 0 {
 		params.Retcon.IVBEntries = p.IVB
 	}
@@ -171,7 +171,13 @@ func (c *checker) runSched(mode sim.Mode, kind sim.SchedKind, trace *eventLog) *
 	if p.SSB > 0 {
 		params.Retcon.SSBEntries = p.SSB
 	}
-	m, err := machines.Get(params, img, c.progs)
+	return params
+}
+
+func (c *checker) runSched(mode sim.Mode, kind sim.SchedKind, trace *eventLog) *runOut {
+	p := c.p
+	img := c.img.Clone()
+	m, err := machines.Get(runParams(p, mode, kind, c.o), img, c.progs)
 	if err != nil {
 		return &runOut{err: err}
 	}

@@ -139,3 +139,41 @@ func TestPredictorReset(t *testing.T) {
 		t.Error("Reset must forget history")
 	}
 }
+
+// TestPredictorObserveConflictsBulk: ObserveConflicts(b, n) leaves the
+// block's count and tracking bit exactly as n ObserveConflict calls do,
+// from every start state, on both sides of every threshold.
+func TestPredictorObserveConflictsBulk(t *testing.T) {
+	const block = 7
+	starts := []struct {
+		name string
+		prep func(p *Predictor)
+	}{
+		{"fresh", func(*Predictor) {}},
+		{"tracking", func(p *Predictor) {
+			for !p.Tracks(block) {
+				p.ObserveConflict(block)
+			}
+		}},
+		{"violated", func(p *Predictor) {
+			p.ObserveConflict(block)
+			p.ObserveViolation(block)
+		}},
+	}
+	for _, promote := range []int{1, 4, 100} {
+		for _, start := range starts {
+			for _, n := range []int64{1, 3, 99, 100, 1000} {
+				one, bulk := NewPredictor(promote, 100), NewPredictor(promote, 100)
+				start.prep(one)
+				start.prep(bulk)
+				for range n {
+					one.ObserveConflict(block)
+				}
+				bulk.ObserveConflicts(block, n)
+				if got, want := *bulk.find(block), *one.find(block); got != want || bulk.Tracks(block) != one.Tracks(block) {
+					t.Errorf("PromoteAfter=%d start=%s n=%d: bulk slot %+v, one by one %+v", promote, start.name, n, got, want)
+				}
+			}
+		}
+	}
+}

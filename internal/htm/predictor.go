@@ -136,6 +136,20 @@ func (p *Predictor) ObserveConflict(block int64) {
 	}
 }
 
+// ObserveConflicts is n ≥ 1 ObserveConflict calls on block in one step.
+// Between those calls the count only grows and tracking is sticky, so
+// the block ends up tracked exactly when the count reaches PromoteAfter
+// along the way; summing in int64 keeps that test exact even where the
+// stored count wraps as the calls' would.
+func (p *Predictor) ObserveConflicts(block, n int64) {
+	s := p.slot(block)
+	sum := int64(s.conflicts) + n
+	s.conflicts = int32(sum)
+	if !s.tracking && sum >= int64(int32(p.PromoteAfter)) {
+		s.tracking = true
+	}
+}
+
 // ObserveViolation trains the predictor down after a symbolic constraint
 // on the block failed at commit.
 func (p *Predictor) ObserveViolation(block int64) {

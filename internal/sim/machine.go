@@ -35,25 +35,21 @@ type Core struct {
 	stallUntil  int64 // core is stalled while Now <= stallUntil
 	stallCat    Category
 
-	// nackProbe* memoize the cache-hierarchy probe of a NACKed miss so the
-	// retry skips the (unchanged) L1+L2 walk; see memAccess.
-	nackProbeValid bool
-	nackProbeBlock int64 //retcon:reset-keep dead while nackProbeValid is false, which resetFor clears
-	nackProbeLat   int64 //retcon:reset-keep dead while nackProbeValid is false, which resetFor clears
-
 	// attributedUntil is the last cycle this core has accounted for under
 	// the event scheduler's lazy attribution (its wake time lives in the
 	// dense Machine.wakes array; see sched.go). The lockstep scheduler
 	// attributes eagerly and ignores it.
 	attributedUntil int64
 
-	// nackAt is the cycle of the core's last executed NACK; its retries
-	// fall at nackAt + k·NackRetry. parkedOn is the core whose transaction
-	// the event loop has parked this one on (-1 when not parked): a parked
-	// core is woken when that transaction ends, and the retries it skipped
-	// meanwhile are charged in bulk (see wakeWaiters).
-	nackAt   int64
-	parkedOn int
+	// nackAt is the cycle of the core's last executed NACK and nackBlock
+	// the block it was NACKed on; its retries fall at nackAt + k·NackRetry.
+	// parkedOn is the core whose transaction the event loop has parked
+	// this one on (-1 when not parked): a parked core is woken when that
+	// transaction ends, and the retries it skipped meanwhile are charged
+	// in bulk, with their predictor training on nackBlock (see unpark).
+	nackAt    int64
+	nackBlock int64
+	parkedOn  int
 
 	// loopEnd is the last cycle of the busy loop the event loop ran in
 	// one step on this core (see busyLoop). While a cycle before it is
@@ -264,9 +260,9 @@ func (c *Core) resetFor(prog *isa.Program, specCap int, retCfg core.Config, p Pa
 		c.Pred.ResetTo(p.PromoteAfter, p.ViolationPenalty)
 	}
 	c.pendingTS = 0
-	c.nackProbeValid = false
 	c.nackWaitSince = 0
 	c.nackAt = 0
+	c.nackBlock = 0
 	c.parkedOn = -1
 	c.loopEnd = 0
 	c.halted = false
@@ -531,7 +527,8 @@ func (m *Machine) nextTS() int64 {
 // mode the predictor's decisions are never consulted (no load ever
 // initiates symbolic tracking), so training it there would be write-only
 // work on the NACK/abort hot path — skip it. Lazy-vb and RETCON train as
-// the paper describes.
+// the paper describes. The NACKed retries the event loop skips while a
+// core is parked are trained in one bulk count instead (see unpark).
 func (m *Machine) observeConflict(c *Core, block int64) {
 	if m.P.Mode != Eager {
 		c.Pred.ObserveConflict(block)

@@ -50,8 +50,9 @@ func benchMachine(b *testing.B, wl string, mode sim.Mode, cores int) {
 
 // BenchmarkMemoryAccess exercises the eager-mode load/store path under
 // heavy contention: every access runs conflict detection, and most are
-// NACKed and retried (the per-access hot path the flat directory, inline
-// spec sets and NACK probe memoization target).
+// NACKed (the per-access hot path the flat directory and inline spec sets
+// target; the event loop parks the NACKed cores and charges their
+// retries in bulk).
 func BenchmarkMemoryAccess(b *testing.B) {
 	benchMachine(b, "counter", sim.Eager, 8)
 }

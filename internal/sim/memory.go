@@ -66,6 +66,7 @@ func (m *Machine) coherentRequest(c *Core, block int64, isWrite, allowNack bool)
 		if allowNack {
 			c.Stats.Nacks++
 			m.nackHolder = h
+			c.nackBlock = block
 			if m.rec != nil {
 				m.rec.Emit(telemetry.Event{Cycle: m.Now, Core: int32(c.ID), Kind: telemetry.KindNack, Block: block, A: int64(h)})
 			}
@@ -117,28 +118,15 @@ func olderWins(c, h *Core) bool {
 // for core c touching block. setSpec marks the transaction's speculative
 // bit. It returns the total latency and the outcome.
 //
-// A NACKed miss memoizes its probe (nackProbe*): the retry re-issues the
-// identical access, and a miss cannot become a hit while the core is
-// stalled — only the core's own fills insert into its private hierarchy —
-// so re-walking both cache levels on every retry would burn time on
-// conflict-heavy runs. The event scheduler parks unrecorded eager NACK
-// waits and skips their retries (see unpark), so the memo serves the
-// first retry after a wake there, and every retry in recorded runs,
-// symbolic-mode runs and under the other loops. Probes that hit are never
-// memoized (their LRU-stamp updates are architectural input to later
-// victim choices); a skipped miss-probe touches no LRU state, so
-// replaying it is unobservable.
+// Retrying a NACKed access leaves the caches as the retry found them: a
+// probe that misses touches no LRU state, and one that hits re-stamps a
+// line the previous attempt already left the MRU line of its L1 set. So
+// the event scheduler can skip the retries of an unrecorded NACK wait
+// (see unpark); recorded runs and lockstep execute each one here.
 //
 //retcon:hotpath every load and store funnels through here
 func (m *Machine) memAccess(c *Core, block int64, isWrite, setSpec, allowNack bool) (int64, accessStatus) {
-	var hlat int64
-	missToDir := true
-	if c.nackProbeValid && c.nackProbeBlock == block {
-		hlat = c.nackProbeLat
-	} else {
-		hlat, missToDir = c.Hier.Probe(block)
-	}
-	c.nackProbeValid = false
+	hlat, missToDir := c.Hier.Probe(block)
 	needDir := missToDir
 	if isWrite && !needDir {
 		// A cached copy does not imply write permission; only the modified
@@ -151,11 +139,6 @@ func (m *Machine) memAccess(c *Core, block int64, isWrite, setSpec, allowNack bo
 	if needDir {
 		dlat, st := m.coherentRequest(c, block, isWrite, allowNack)
 		if st != accessOK {
-			if st == accessNack && missToDir {
-				c.nackProbeValid = true
-				c.nackProbeBlock = block
-				c.nackProbeLat = hlat
-			}
 			return 0, st
 		}
 		lat += dlat

@@ -109,16 +109,16 @@ func (lockstepSched) Run(m *Machine) error {
 //
 // A NACK wait is a wake condition too. Lockstep retries a NACKed access
 // every NackRetry cycles, and each retry is an identical NACK until the
-// vetoing holder's transaction ends (see unpark for why). So in eager
-// mode with no recorder attached, a NACKed core parks on the holder
-// (Machine.waiters) instead of retrying, and the holder's commit or
-// abort wakes it at the retry slot where lockstep would first see the
-// release (wakeWaiters). The retries it skipped are charged in bulk, one
-// instruction and one NACK each, as settle charges skipped stall cycles.
-// Elsewhere a retry is observable — LazyVB and RetCon train the predictor
-// on every NACK, which can change the retry's path, and a recorder logs
-// each NACK at its own cycle — so those waits retry as lockstep does. A
-// remote abort of a parked core unparks it first.
+// vetoing holder's transaction ends (see unpark for why). So with no
+// recorder attached, a NACKed core parks on the holder (Machine.waiters)
+// instead of retrying, in every mode, and the holder's commit or abort
+// wakes it at the retry slot where lockstep would first see the release
+// (wakeWaiters). The retries it skipped are charged in bulk, one
+// instruction and one NACK each, as settle charges skipped stall cycles;
+// in LazyVB and RetCon each also trains the predictor on the NACKed
+// block, charged as one bulk count. A recorder logs each NACK (and its
+// training) at its own cycle, so recorded waits retry as lockstep does.
+// A remote abort of a parked core unparks it first.
 //
 // A counted busy loop (isa.BusyLoop) is a timed wake as well. When a core
 // reaches the loop's addi with a concrete counter, busyLoop runs the whole
@@ -183,9 +183,9 @@ func (eventSched) Run(m *Machine) error {
 //
 //retcon:hotpath per-cycle event loop; see TestAllocsPerCycleRegression
 func (m *Machine) runEvent() error {
-	// NACKed cores park on the vetoing transaction only where a skipped
-	// retry is unobservable (see the eventSched doc).
-	park := m.P.Mode == Eager && m.rec == nil
+	// NACKed cores park on the vetoing transaction unless a recorder
+	// would log each skipped retry (see the eventSched doc).
+	park := m.rec == nil
 	m.wq = wakeQueue{farMin: parked}
 	q := &m.wq
 	halted := 0
@@ -339,19 +339,29 @@ func (m *Machine) steppedThrough(id int) int64 {
 
 // unpark ends core c's NACK wait: it charges the retries lockstep ran at
 // c's slots nackAt+k·NackRetry through cycle upTo and stalls c until the
-// next slot. Each charged retry is one instruction and one NACK; its
-// cycles are conflict cycles, which settle charges with the rest of the
-// stall.
+// next slot. Each charged retry is one instruction and one NACK, and in
+// LazyVB and RetCon one conflict observed on nackBlock, charged to the
+// predictor as one bulk count; its cycles are conflict cycles, which
+// settle charges with the rest of the stall.
 //
 // Every skipped retry is an identical NACK, because the holder that
 // vetoed c keeps vetoing until its transaction ends: its spec bits only
-// grow within a transaction; directory presence is sticky, so evictions
-// never drop it from WriteTargets/ReadTargets; another requester can
+// grow within a transaction, and it cannot start tracking a block it
+// holds spec bits on; directory presence is sticky, so evictions never
+// drop it from WriteTargets/ReadTargets; another requester can
 // invalidate or downgrade it only by getting past its veto, which aborts
-// it; and both timestamps are fixed. The retry itself changes nothing: a
-// NACKed miss reuses its memoized probe, and a NACKed upgrade re-stamps a
-// line that is already the MRU line of its L1 set, leaving LRU order as
-// it was.
+// it; and both timestamps are fixed. The retry itself changes nothing
+// the next one sees (see memAccess).
+//
+// The training cannot change a retry's path either, so c never needs to
+// wake where its predictor starts tracking the block. A load whose
+// block the predictor tracks issues the same memAccess on the same block
+// as a plain load, so it is NACKed alike; stores never consult the
+// predictor; and re-pinning a value intersects a constraint with the
+// point it already holds. Only c's own execution reads its predictor or
+// trains it down, and a remote abort's own training (on the blamed
+// block) runs after this charge and commutes with it. The block's slot
+// exists since c's first NACK, so the bulk count never grows the table.
 func (m *Machine) unpark(c *Core, upTo int64) {
 	r := max(m.P.NackRetry, 1) // a NACK stalls through Now+NackRetry-1
 	if k := (upTo - c.nackAt) / r; k > 0 {
@@ -359,6 +369,9 @@ func (m *Machine) unpark(c *Core, upTo int64) {
 		c.Stats.Nacks += k
 		c.nackAt += k * r
 		m.schedStats.ParkedRetries += k
+		if m.P.Mode != Eager {
+			c.Pred.ObserveConflicts(c.nackBlock, k)
+		}
 	}
 	c.stallUntil = c.nackAt + r - 1
 	m.waiters[c.parkedOn] &^= 1 << c.ID

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -417,12 +418,16 @@ func spinLoop(b *isa.Builder, ctr isa.Reg, n int64, label string) {
 }
 
 // TestSchedulerParkedNackEdges drives the parked-NACK path of the event
-// scheduler (eager, no recorder) through its edge cases and requires
-// lockstep's Result every time. The slot rows sweep a pad over two retry
-// periods, so that in some run the event that ends the wait — the
-// holder's commit, or the remote abort of the waiter — falls exactly on
-// one of the waiter's retry slots, with the ending core's ID below and
-// above the waiter's; the recorded lockstep trace proves the slot was hit.
+// scheduler (no recorder) through its edge cases in every mode and
+// requires lockstep's Result every time. The slot rows sweep a pad over
+// two retry periods, so that in some run the event that ends the wait —
+// the holder's commit, or the remote abort of the waiter — falls exactly
+// on one of the waiter's retry slots, with the ending core's ID below and
+// above the waiter's; the recorded lockstep trace proves the slot was
+// hit. The predictor-flip row delays the waiter's load so that its wait
+// spans from none to 15 NACKs: with PromoteAfter 4, LazyVB and RetCon
+// promote the block while the waiter is parked in some runs, exactly at
+// its last NACK in one, and the load after the wake takes the Track path.
 func TestSchedulerParkedNackEdges(t *testing.T) {
 	const none = -1
 	nackRetry := int(DefaultParams().NackRetry)
@@ -435,6 +440,9 @@ func TestSchedulerParkedNackEdges(t *testing.T) {
 		// slot of core waiter in some run (slotKind 0: no such check).
 		slotKind         telemetry.Kind
 		slotCore, waiter int
+		// promoteAfter overrides Params.PromoteAfter when non-zero, and
+		// then the waiter must track a block in some LazyVB and RetCon run.
+		promoteAfter int
 	}{
 		{name: "commit-at-slot/holder-below", cores: 2, pads: 2 * nackRetry,
 			build:    func(pad int) func() (*mem.Image, []*isa.Program) { return parkScenario(2, 0, 1, none, 0, 0, pad) },
@@ -448,6 +456,9 @@ func TestSchedulerParkedNackEdges(t *testing.T) {
 		{name: "abort-at-slot/aborter-above", cores: 3, pads: 2 * nackRetry,
 			build:    func(pad int) func() (*mem.Image, []*isa.Program) { return parkScenario(3, 0, 1, 2, 400, 2, pad) },
 			slotKind: telemetry.KindAbort, slotCore: 1, waiter: 1},
+		{name: "predictor-flip", cores: 2, pads: 16 * nackRetry,
+			build:  func(pad int) func() (*mem.Image, []*isa.Program) { return parkScenario(2, 0, 1, none, 0, 1, pad) },
+			waiter: 1, promoteAfter: 4},
 		{name: "counter@32", cores: 32, pads: 1,
 			build: func(int) func() (*mem.Image, []*isa.Program) {
 				return func() (*mem.Image, []*isa.Program) { img, _, progs := buildCounter(32, 3, 2, 10); return img, progs }
@@ -458,36 +469,48 @@ func TestSchedulerParkedNackEdges(t *testing.T) {
 			}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			var sched SchedStats
-			slotHit := false
-			for pad := 0; pad < row.pads; pad++ {
-				build := row.build(pad)
-				var log eventLog
-				lockstep, _ := runParkRow(t, row.cores, SchedLockstep, &log, build)
-				event, st := runParkRow(t, row.cores, SchedEvent, nil, build)
-				if !reflect.DeepEqual(lockstep, event) {
-					t.Errorf("pad=%d: results diverge:\nlockstep: %+v\nevent:    %+v", pad, lockstep, event)
-				}
-				sched.ParkedRetries += st.ParkedRetries
-				slotHit = slotHit || endsAtSlot(log, row.slotKind, row.slotCore, row.waiter, int64(nackRetry))
-			}
-			if sched.ParkedRetries == 0 {
-				t.Error("no NACKed retry was charged in bulk: the parked path never fired")
-			}
-			if row.slotKind != 0 && !slotHit {
-				t.Errorf("no run put the %v on a retry slot of core %d", row.slotKind, row.waiter)
+			for _, mode := range []Mode{Eager, LazyVB, RetCon} {
+				t.Run(mode.String(), func(t *testing.T) {
+					p := testParams(row.cores, mode)
+					if row.promoteAfter != 0 {
+						p.PromoteAfter = row.promoteAfter
+					}
+					var sched SchedStats
+					slotHit, tracked := false, false
+					for pad := 0; pad < row.pads; pad++ {
+						build := row.build(pad)
+						var log eventLog
+						lockstep, _ := runParkRow(t, p, SchedLockstep, &log, build)
+						event, st := runParkRow(t, p, SchedEvent, nil, build)
+						if !reflect.DeepEqual(lockstep, event) {
+							t.Errorf("pad=%d: results diverge:\nlockstep: %+v\nevent:    %+v", pad, lockstep, event)
+						}
+						sched.ParkedRetries += st.ParkedRetries
+						slotHit = slotHit || endsAtSlot(log, row.slotKind, row.slotCore, row.waiter, int64(nackRetry))
+						tracked = tracked || slices.ContainsFunc(log, func(e telemetry.Event) bool {
+							return e.Kind == telemetry.KindTrack && int(e.Core) == row.waiter
+						})
+					}
+					if sched.ParkedRetries == 0 {
+						t.Error("no NACKed retry was charged in bulk: the parked path never fired")
+					}
+					if row.slotKind != 0 && !slotHit {
+						t.Errorf("no run put the %v on a retry slot of core %d", row.slotKind, row.waiter)
+					}
+					if row.promoteAfter != 0 && mode != Eager && !tracked {
+						t.Errorf("core %d never tracked a block: its predictor did not flip", row.waiter)
+					}
+				})
 			}
 		})
 	}
 }
 
-// runParkRow runs one eager machine of the given size under kind,
-// recording into log when it is non-nil, and returns its Result and
-// scheduler counters.
-func runParkRow(t *testing.T, cores int, kind SchedKind, log *eventLog, build func() (*mem.Image, []*isa.Program)) (*Result, SchedStats) {
+// runParkRow runs one machine with params p under kind, recording into
+// log when it is non-nil, and returns its Result and scheduler counters.
+func runParkRow(t *testing.T, p Params, kind SchedKind, log *eventLog, build func() (*mem.Image, []*isa.Program)) (*Result, SchedStats) {
 	t.Helper()
 	img, progs := build()
-	p := testParams(cores, Eager)
 	p.Sched = kind
 	m, err := New(p, img, progs)
 	if err != nil {

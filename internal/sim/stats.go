@@ -120,8 +120,10 @@ type SchedStats struct {
 	DenseCycles int64
 	Handoffs    int64
 	// ParkedRetries counts the NACKed retries charged in bulk to cores
-	// parked on the vetoing transaction instead of executed. They are in
-	// CoreStats.Instrs and Nacks like every executed retry.
+	// parked on the vetoing transaction instead of executed, in every
+	// mode of a run with no recorder. They are in CoreStats.Instrs and
+	// Nacks like every executed retry, and in LazyVB and RetCon in the
+	// predictor's conflict counts.
 	ParkedRetries int64
 	// BusySkipped counts the busy-loop instructions charged in bulk by
 	// running each loop as one timed stall instead of executed, net of

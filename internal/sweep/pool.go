@@ -47,7 +47,15 @@ func DispatchStop[T any](n, workers int, fn func(int) T, stop <-chan struct{}, s
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				results[i] = fn(i)
+				// The feeder's select picks at random between a closed
+				// stop and an idle worker, so an index can still arrive
+				// after stop has closed; it has not started, so skip it.
+				select {
+				case <-stop:
+					results[i] = skip(i)
+				default:
+					results[i] = fn(i)
+				}
 				close(done[i])
 			}
 		}()
