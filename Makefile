@@ -17,7 +17,7 @@
 #   make profile     CPU+heap profile of a conflict-heavy run -> cpu.pprof/mem.pprof
 #   make paperbench  regenerate the paper's figures and tables concurrently
 #   make fuzz        bounded differential-fuzz pass: corpus replay, a seed
-#                    sweep through cmd/retcon-fuzz, and 30s per native
+#                    sweep through cmd/retcon-fuzz, and 20-30s per native
 #                    go test -fuzz target
 #   make fuzz-long   open-ended seed sweep (Ctrl-C when bored)
 #   make wload-smoke validate + run every declarative workload spec under
@@ -35,7 +35,9 @@
 #                    injected runs failed, byte-identical across worker
 #                    counts, and a killed-and-resumed sweep reproduces
 #                    the uninterrupted output byte for byte — under the
-#                    race detector (the CI gate for fault isolation)
+#                    race detector (the CI gate for fault isolation);
+#                    then a journaled retcon-sweep and its -resume
+#                    re-run must write identical JSONL
 #   make trace-smoke observability gate: the recorded event stream for a
 #                    fixed (workload, seed, cores) must match the
 #                    committed golden trace byte for byte across both
@@ -94,9 +96,15 @@ lab-record: build
 # transient-then-success, corrupted result) into real sweep grids and
 # proves fault isolation, quarantine, retry and kill-and-resume
 # byte-identity — with -race, because the abandon path is the one place
-# the engine runs concurrent with a simulating machine.
+# the engine runs concurrent with a simulating machine. A journaled
+# retcon-sweep run and its -resume re-run must then write the same JSONL,
+# which drives the shared engine flags end to end.
 chaos-smoke: build
 	$(GO) test -race -count=1 ./internal/chaos/
+	t=$$(mktemp -d) && \
+	$(GO) run ./cmd/retcon-sweep -preset quick -journal $$t/runs.jsonl -table=false -jsonl $$t/a.jsonl && \
+	$(GO) run ./cmd/retcon-sweep -preset quick -journal $$t/runs.jsonl -resume -table=false -jsonl $$t/b.jsonl && \
+	cmp $$t/a.jsonl $$t/b.jsonl && rm -r $$t
 
 # Observability smoke: the golden trace-determinism test (lockstep vs
 # event vs sweep workers 1/8, byte-identical and equal to the committed
@@ -154,6 +162,7 @@ fuzz: build
 	$(GO) run ./cmd/retcon-fuzz -seeds 0:3000 -short -progress 0
 	$(GO) test ./internal/core/ -run xxx -fuzz FuzzBranchConstraint -fuzztime 30s
 	$(GO) test ./internal/fuzz/ -run xxx -fuzz FuzzDifferential -fuzztime 30s
+	$(GO) test ./internal/telemetry/ -run xxx -fuzz FuzzReadEvents -fuzztime 20s
 
 fuzz-long: build
 	$(GO) run ./cmd/retcon-fuzz -seeds 0:1000000 -corpus fuzz-found

@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -32,7 +31,6 @@ import (
 	retcon "repro"
 	"repro/internal/lab"
 	"repro/internal/progress"
-	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -63,8 +61,8 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   retcon-lab validate <file-or-dir>...
   retcon-lab run [-workers N] [-sched event|lockstep] [-out PATH|-] [-record] [-check]
-                 [-journal FILE [-resume]] [-run-deadline D] [-retries N] [-retry-seed S]
-                 [-progress D] [-metrics PATH]
+                 [-journal FILE [-resume]] [-run-deadline D] [-retries N]
+                 [-progress D] [-metrics PATH|-]
                  <file-or-dir>...
   retcon-lab vars`)
 }
@@ -123,18 +121,11 @@ func cmdValidate(args []string) {
 
 func cmdRun(args []string) {
 	fs := flag.NewFlagSet("retcon-lab run", flag.ExitOnError)
-	workers := fs.Int("workers", 0, "worker-pool size (default: GOMAXPROCS)")
 	schedStr := fs.String("sched", "", "force the cycle-loop scheduler on every run: event or lockstep (findings are byte-identical either way)")
 	outPath := fs.String("out", "", "write FINDINGS.md here ('-' = stdout); single hypothesis only")
 	record := fs.Bool("record", false, "write FINDINGS.md to <specdir>/<name>/FINDINGS.md")
 	check := fs.Bool("check", false, "fail unless the recorded FINDINGS.md matches byte for byte")
-	runDeadline := fs.Duration("run-deadline", 0, "per-run wall-clock deadline; a run exceeding it is abandoned and reported as an infra anomaly (0 = off)")
-	retries := fs.Int("retries", 0, "retry possibly-transient run failures up to N times (watchdog trips and oracle divergences never retry)")
-	retrySeed := fs.Int64("retry-seed", 0, "seed for the deterministic retry-backoff jitter")
-	journalPath := fs.String("journal", "", "append completed runs to this JSONL journal (crash-safe; enables -resume)")
-	resume := fs.Bool("resume", false, "replay outcomes already recorded in -journal instead of re-running them")
-	metricsPath := fs.String("metrics", "", "write per-run metric snapshots from the hypothesis grids as JSON lines to this file")
-	progressEvery := fs.Duration("progress", 0, "print a progress line (done/failed/retried, ETA) to stderr every interval (0 = off)")
+	engFlags := progress.Register(fs, "retcon-lab")
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
@@ -145,16 +136,8 @@ func cmdRun(args []string) {
 	if *outPath != "" && len(files) != 1 {
 		fail(fmt.Errorf("-out takes exactly one hypothesis (got %d)", len(files)))
 	}
-	if *resume && *journalPath == "" {
-		fail(fmt.Errorf("-resume requires -journal"))
-	}
 
-	opt := lab.Options{
-		Workers:   *workers,
-		Deadline:  *runDeadline,
-		Retries:   *retries,
-		RetrySeed: *retrySeed,
-	}
+	var opt lab.Options
 	if *schedStr != "" {
 		k, err := sim.ParseSched(*schedStr)
 		if err != nil {
@@ -162,56 +145,15 @@ func cmdRun(args []string) {
 		}
 		opt.Sched = &k
 	}
-	var journal *sweep.Journal
-	if *journalPath != "" {
-		journal, err = sweep.OpenJournal(*journalPath, *resume)
-		if err != nil {
-			fail(err)
-		}
-		opt.Journal = journal
+	if opt.Engine, err = engFlags.Engine(); err != nil {
+		fail(err)
 	}
-	var metricsClose func() error
 	var metricsErr error
-	if *metricsPath != "" {
-		f, err := os.Create(*metricsPath)
-		if err != nil {
-			fail(err)
-		}
-		metricsClose = f.Close
-		sink := report.NewMetricsSink(f)
+	if sink := engFlags.Metrics(); sink != nil {
 		opt.Observe = func(o sweep.Outcome) {
 			if err := sink.Emit(o); err != nil && metricsErr == nil {
 				metricsErr = err
 			}
-		}
-	}
-	var stopProgress func()
-	if *progressEvery > 0 {
-		opt.Progress = &sweep.Progress{}
-		stopProgress = progress.Start(os.Stderr, "retcon-lab", opt.Progress, *progressEvery)
-	}
-
-	// Graceful SIGINT: the first ^C checkpoints — in-flight grid runs
-	// drain into the journal, lab.Run returns an error instead of judging
-	// a partial grid, and the process exits 130 with a resume hint. A
-	// second ^C kills immediately.
-	stop := make(chan struct{})
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt)
-	go func() {
-		<-sigc
-		fmt.Fprintln(os.Stderr, "retcon-lab: interrupt — draining in-flight runs and checkpointing (^C again to kill)")
-		close(stop)
-		<-sigc
-		os.Exit(130)
-	}()
-	opt.Stop = stop
-	wasStopped := func() bool {
-		select {
-		case <-stop:
-			return true
-		default:
-			return false
 		}
 	}
 
@@ -223,14 +165,9 @@ func cmdRun(args []string) {
 		start := time.Now()
 		rep, err := lab.Run(h, opt)
 		if err != nil {
-			if wasStopped() {
-				if journal != nil {
-					journal.Close()
-					fmt.Fprintf(os.Stderr, "retcon-lab: %v\nretcon-lab: re-run with -journal %s -resume to continue\n", err, *journalPath)
-				} else {
-					fmt.Fprintf(os.Stderr, "retcon-lab: %v\nretcon-lab: re-run with -journal FILE to make runs resumable\n", err)
-				}
-				os.Exit(130)
+			if engFlags.Stopped() {
+				fmt.Fprintln(os.Stderr, "retcon-lab:", err)
+				engFlags.Interrupted()
 			}
 			fail(fmt.Errorf("%s: %w", path, err))
 		}
@@ -266,21 +203,11 @@ func cmdRun(args []string) {
 			os.Stdout.Write(doc)
 		}
 	}
-	if stopProgress != nil {
-		stopProgress()
-	}
-	if metricsClose != nil {
-		if err := metricsClose(); err != nil && metricsErr == nil {
-			metricsErr = err
-		}
+	if err := engFlags.Close(); err != nil && metricsErr == nil {
+		metricsErr = err
 	}
 	if metricsErr != nil {
 		fail(metricsErr)
-	}
-	if journal != nil {
-		if err := journal.Close(); err != nil {
-			fail(err)
-		}
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 
 	retcon "repro"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/telemetry"
 )
 
@@ -60,16 +61,9 @@ func main() {
 		return
 	}
 
-	var mode retcon.Mode
-	switch *modeStr {
-	case "eager":
-		mode = retcon.ModeEager
-	case "lazy-vb":
-		mode = retcon.ModeLazyVB
-	case "retcon":
-		mode = retcon.ModeRetCon
-	default:
-		fmt.Fprintf(os.Stderr, "retcon-sim: unknown mode %q (eager, lazy-vb, retcon)\n", *modeStr)
+	mode, err := sweep.ParseMode(*modeStr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "retcon-sim:", err)
 		os.Exit(2)
 	}
 

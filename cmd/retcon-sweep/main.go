@@ -30,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
 	"time"
@@ -49,19 +48,12 @@ func main() {
 	coresFlag := flag.String("cores", "", "comma-separated core counts (default: base machine's 32)")
 	seedsFlag := flag.String("seeds", "", "comma-separated workload input seeds (default: 1)")
 	baseline := flag.Bool("baseline", false, "add 1-core eager baselines and report speedups")
-	workers := flag.Int("workers", 0, "worker-pool size (default: GOMAXPROCS)")
 	jsonlPath := flag.String("jsonl", "", "write records as JSON lines to this file ('-' = stdout)")
 	csvPath := flag.String("csv", "", "write records as CSV to this file ('-' = stdout)")
 	table := flag.Bool("table", true, "print the text table to stdout")
 	list := flag.Bool("list", false, "list workloads and presets, then exit")
 	listWorkloads := flag.Bool("list-workloads", false, "list registry names and descriptions (including spec-registered entries), then exit")
-	runDeadline := flag.Duration("run-deadline", 0, "per-run wall-clock deadline; a run exceeding it is abandoned and reported as failed (0 = off)")
-	retries := flag.Int("retries", 0, "retry possibly-transient run failures up to N times (watchdog trips and oracle divergences never retry)")
-	retrySeed := flag.Int64("retry-seed", 0, "seed for the deterministic retry-backoff jitter")
-	journalPath := flag.String("journal", "", "append completed runs to this JSONL journal (crash-safe; enables -resume)")
-	resume := flag.Bool("resume", false, "replay outcomes already recorded in -journal instead of re-running them")
-	metricsPath := flag.String("metrics", "", "write per-run metric snapshots (abort causes, latency histograms) as JSON lines to this file ('-' = stdout)")
-	progressEvery := flag.Duration("progress", 0, "print a progress line (done/failed/retried, ETA) to stderr every interval, e.g. 2s (0 = off; stdout is untouched)")
+	engFlags := progress.Register(flag.CommandLine, "retcon-sweep")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -99,44 +91,9 @@ func main() {
 		fail(fmt.Errorf("spec expands to zero runs"))
 	}
 
-	if *resume && *journalPath == "" {
-		fail(fmt.Errorf("-resume requires -journal"))
-	}
-	var journal *sweep.Journal
-	if *journalPath != "" {
-		journal, err = sweep.OpenJournal(*journalPath, *resume)
-		if err != nil {
-			fail(err)
-		}
-	}
-
-	// Graceful SIGINT: the first ^C closes the engine's stop channel —
-	// in-flight runs drain and are journaled, runs not yet started are
-	// skipped — and the process exits 130 with a resume hint. A second ^C
-	// kills immediately.
-	stop := make(chan struct{})
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt)
-	go func() {
-		<-sigc
-		fmt.Fprintln(os.Stderr, "retcon-sweep: interrupt — draining in-flight runs and checkpointing (^C again to kill)")
-		close(stop)
-		<-sigc
-		os.Exit(130)
-	}()
-
-	eng := sweep.Engine{
-		Workers:   *workers,
-		Deadline:  *runDeadline,
-		Retries:   *retries,
-		RetrySeed: *retrySeed,
-		Journal:   journal,
-		Stop:      stop,
-	}
-	var stopProgress func()
-	if *progressEvery > 0 {
-		eng.Progress = &sweep.Progress{}
-		stopProgress = progress.Start(os.Stderr, "retcon-sweep", eng.Progress, *progressEvery)
+	eng, err := engFlags.Engine()
+	if err != nil {
+		fail(err)
 	}
 	start := time.Now()
 
@@ -155,7 +112,7 @@ func main() {
 	var jsonlSink *report.JSONLSink
 	var jsonlClose func() error
 	if *jsonlPath != "" {
-		w, closeFn, err := openOut(*jsonlPath)
+		w, closeFn, err := progress.OpenOut(*jsonlPath)
 		if err != nil {
 			fail(err)
 		}
@@ -164,21 +121,13 @@ func main() {
 	var csvSink *report.CSVSink
 	var csvClose func() error
 	if *csvPath != "" {
-		w, closeFn, err := openOut(*csvPath)
+		w, closeFn, err := progress.OpenOut(*csvPath)
 		if err != nil {
 			fail(err)
 		}
 		csvSink, csvClose = report.NewCSVSink(w), closeFn
 	}
-	var metricsSink *report.MetricsSink
-	var metricsClose func() error
-	if *metricsPath != "" {
-		w, closeFn, err := openOut(*metricsPath)
-		if err != nil {
-			fail(err)
-		}
-		metricsSink, metricsClose = report.NewMetricsSink(w), closeFn
-	}
+	metricsSink := engFlags.Metrics()
 
 	// Stream the sweep: records reach the sinks in deterministic run
 	// order as each run's ordered prefix completes, so a long sweep has
@@ -229,9 +178,6 @@ func main() {
 		}
 	})
 	elapsed := time.Since(start)
-	if stopProgress != nil {
-		stopProgress()
-	}
 
 	if csvSink != nil && sinkErr == nil {
 		sinkErr = csvSink.Close()
@@ -246,17 +192,8 @@ func main() {
 			sinkErr = err
 		}
 	}
-	if metricsClose != nil {
-		if err := metricsClose(); err != nil && sinkErr == nil {
-			sinkErr = err
-		}
-	}
-	if journal != nil {
-		fmt.Fprintf(os.Stderr, "retcon-sweep: journal: %d runs replayed, %d executed fresh, %d recorded\n",
-			journal.Hits(), journal.Misses(), journal.Len())
-		if err := journal.Close(); err != nil && sinkErr == nil {
-			sinkErr = err
-		}
+	if err := engFlags.Close(); err != nil && sinkErr == nil {
+		sinkErr = err
 	}
 	puts, discards := sweep.PoolStats()
 	fmt.Fprintf(os.Stderr, "retcon-sweep: machine pool: %d releases, %d quarantined\n", puts, discards)
@@ -264,12 +201,7 @@ func main() {
 		fail(sinkErr)
 	}
 	if interrupted {
-		if *journalPath != "" {
-			fmt.Fprintf(os.Stderr, "retcon-sweep: interrupted; completed runs are journaled — re-run with -journal %s -resume to continue\n", *journalPath)
-		} else {
-			fmt.Fprintln(os.Stderr, "retcon-sweep: interrupted; re-run with -journal FILE to make sweeps resumable")
-		}
-		os.Exit(130)
+		engFlags.Interrupted()
 	}
 
 	if *table {
@@ -366,15 +298,4 @@ func parseInt64s(s string) ([]int64, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func openOut(path string) (*os.File, func() error, error) {
-	if path == "-" {
-		return os.Stdout, func() error { return nil }, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, f.Close, nil
 }

@@ -378,7 +378,7 @@ func TestCorruptResultCaughtByOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := lab.Run(h, lab.Options{Workers: 4})
+	clean, err := lab.Run(h, lab.Options{Engine: sweep.Engine{Workers: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestCorruptResultCaughtByOracle(t *testing.T) {
 	plan := chaos.NewPlan()
 	plan.Add(chaos.TargetOf(texp[0]), chaos.Fault{Kind: chaos.CorruptResult})
 
-	rep, err := lab.Run(h, lab.Options{Workers: 4, Runner: corruptingRunner(plan)})
+	rep, err := lab.Run(h, lab.Options{Engine: sweep.Engine{Workers: 4, Tasks: corruptingRunner(plan)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,17 +418,16 @@ func TestCorruptResultCaughtByOracle(t *testing.T) {
 	}
 }
 
-// corruptingRunner adapts a chaos plan to the lab's RunFunc option,
-// applying the faults only to event-scheduled runs so the lockstep
-// oracle twin keeps the honest Result.
-func corruptingRunner(p *chaos.Plan) sweep.RunFunc {
+// corruptingRunner applies a chaos plan's faults only to event-scheduled
+// runs, so the lockstep oracle twin keeps the honest Result.
+func corruptingRunner(p *chaos.Plan) sweep.TaskFunc {
 	faulty := p.Runner()
 	honest := sweep.SimRunner(nil)
-	return func(r sweep.Run) (*sim.Result, error) {
-		if _, ok := p.Fault(r); ok && r.Params.Sched != sim.SchedLockstep {
-			return faulty(sweep.Task{Run: r})
+	return func(t sweep.Task) (*sim.Result, error) {
+		if _, ok := p.Fault(t.Run); ok && t.Run.Params.Sched != sim.SchedLockstep {
+			return faulty(t)
 		}
-		return honest(sweep.Task{Run: r})
+		return honest(t)
 	}
 }
 
@@ -447,7 +446,7 @@ func TestLabJournalResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep1, err := lab.Run(h, lab.Options{Workers: 4, Journal: j1})
+	rep1, err := lab.Run(h, lab.Options{Engine: sweep.Engine{Workers: 4, Journal: j1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +471,7 @@ func TestLabJournalResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := lab.Run(h, lab.Options{Workers: 4, Journal: j2})
+	rep2, err := lab.Run(h, lab.Options{Engine: sweep.Engine{Workers: 4, Journal: j2}})
 	if err != nil {
 		t.Fatal(err)
 	}

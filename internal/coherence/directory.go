@@ -253,22 +253,3 @@ func (d *Directory) ApplyWrite(c int, block int64, now int64) int64 {
 	e.Sharers = 1 << uint(c)
 	return lat
 }
-
-// Drop removes core c from the block's metadata (used when a transaction
-// releases a symbolically tracked block, and by tests). Losing M ownership
-// reverts the block to Shared among the remaining sharers.
-func (d *Directory) Drop(c int, block int64) {
-	e, ok := d.Peek(block)
-	if !ok {
-		return
-	}
-	e.Sharers &^= 1 << uint(c)
-	if e.State == Modified && e.Owner == c {
-		e.Owner = NoOwner
-		if e.Sharers == 0 {
-			e.State = Invalid
-		} else {
-			e.State = Shared
-		}
-	}
-}

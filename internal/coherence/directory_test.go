@@ -71,17 +71,6 @@ func TestOwnWriteHit(t *testing.T) {
 	}
 }
 
-func TestDrop(t *testing.T) {
-	d := New(4, 1024, lat())
-	d.ApplyWrite(3, 11, 0)
-	d.Drop(3, 11)
-	e := d.Entry(11)
-	if e.State != Invalid || e.Owner != NoOwner || e.Sharers != 0 {
-		t.Errorf("entry after drop: %+v", e)
-	}
-	d.Drop(3, 999) // unknown block is a no-op
-}
-
 func TestDRAMQueuing(t *testing.T) {
 	l := lat()
 	l.DRAMOccupancy = 16

@@ -26,15 +26,6 @@ func TestIsBranch(t *testing.T) {
 	}
 }
 
-func TestIsTrackable(t *testing.T) {
-	trackable := map[Op]bool{Mov: true, Add: true, Addi: true, Sub: true, Rsubi: true}
-	for op := Nop; op < numOps; op++ {
-		if op.IsTrackable() != trackable[op] {
-			t.Errorf("%v IsTrackable = %v, want %v", op, op.IsTrackable(), trackable[op])
-		}
-	}
-}
-
 func TestRegisterHelper(t *testing.T) {
 	if R(0) != Zero || R(31) != Reg(31) {
 		t.Error("R helper broken")

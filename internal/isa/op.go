@@ -84,14 +84,3 @@ func (o Op) String() string {
 
 // IsBranch reports whether the opcode is a conditional branch.
 func (o Op) IsBranch() bool { return o >= Beq && o <= Bgt }
-
-// IsTrackable reports whether RETCON can propagate a symbolic input through
-// this opcode (§4.4: only additions and subtractions are tracked, so that
-// symbolic values stay representable as (address, increment) pairs).
-func (o Op) IsTrackable() bool {
-	switch o {
-	case Mov, Add, Addi, Sub, Rsubi:
-		return true
-	}
-	return false
-}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 const hypothesesDir = "../../examples/hypotheses"
@@ -50,10 +51,10 @@ func TestZipfSkewGolden(t *testing.T) {
 		name string
 		opt  Options
 	}{
-		{"workers=1", Options{Workers: 1}},
-		{"workers=8", Options{Workers: 8}},
-		{"workers=8 sched=event", Options{Workers: 8, Sched: &event}},
-		{"workers=8 sched=lockstep", Options{Workers: 8, Sched: &lockstep}},
+		{"workers=1", Options{Engine: sweep.Engine{Workers: 1}}},
+		{"workers=8", Options{Engine: sweep.Engine{Workers: 8}}},
+		{"workers=8 sched=event", Options{Engine: sweep.Engine{Workers: 8}, Sched: &event}},
+		{"workers=8 sched=lockstep", Options{Engine: sweep.Engine{Workers: 8}, Sched: &lockstep}},
 	}
 	for _, v := range variants {
 		got := renderHypothesis(t, spec, v.opt)

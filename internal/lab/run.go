@@ -18,7 +18,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"time"
 
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -29,33 +28,17 @@ type Options struct {
 	// Base is the machine every grid patches; the zero value means
 	// sim.DefaultParams().
 	Base sim.Params
-	// Workers bounds the sweep engine's pool; <= 0 means GOMAXPROCS.
-	Workers int
+	// Engine executes the combined grid as given: pool size, per-run
+	// deadline and retries, journal (a resumed run replays journaled
+	// outcomes and renders the byte-identical FINDINGS.md), progress
+	// counters and the Stop checkpoint, after which Run returns an error
+	// instead of judging a partial grid. The zero value is the plain
+	// simulator on GOMAXPROCS workers.
+	Engine sweep.Engine
 	// Sched forces the cycle-loop scheduler on every grid and baseline
 	// run (the oracle re-execution always uses lockstep). Findings are
 	// byte-identical either way; the flag exists so tests can prove it.
 	Sched *sim.SchedKind
-	// Runner substitutes the per-run executor (tests); nil means the
-	// simulator.
-	Runner sweep.RunFunc
-	// Deadline, Retries and RetrySeed mirror the sweep engine's
-	// resilience knobs (see sweep.Engine): per-run wall-clock abandons
-	// and deterministic retry of possibly-transient failures.
-	Deadline  time.Duration
-	Retries   int
-	RetrySeed int64
-	// Journal, when non-nil, memoizes run outcomes across invocations —
-	// the mechanism behind retcon-lab's -resume. A resumed run replays
-	// journaled outcomes and produces the byte-identical FINDINGS.md an
-	// uninterrupted run would have.
-	Journal *sweep.Journal
-	// Stop, when non-nil, checkpoints the run once closed: in-flight
-	// simulations drain and are journaled, and Run returns an error
-	// instead of judging a partial grid.
-	Stop <-chan struct{}
-	// Progress, when non-nil, receives the sweep engine's completion
-	// counters (retcon-lab's -progress reporter polls them).
-	Progress *sweep.Progress
 	// Observe, when non-nil, is called once per successful grid run in
 	// deterministic run order after the grid completes (baselines and
 	// oracle twins excluded) — the export hook behind retcon-lab's
@@ -161,17 +144,7 @@ func Run(h *Hypothesis, opt Options) (*Report, error) {
 	combined = append(combined, grid...)
 	combined = append(combined, oracle...)
 
-	eng := sweep.Engine{
-		Workers:   opt.Workers,
-		Runner:    opt.Runner,
-		Deadline:  opt.Deadline,
-		Retries:   opt.Retries,
-		RetrySeed: opt.RetrySeed,
-		Journal:   opt.Journal,
-		Stop:      opt.Stop,
-		Progress:  opt.Progress,
-	}
-	outs := eng.Execute(combined)
+	outs := opt.Engine.Execute(combined)
 
 	// A checkpointed (interrupted) run must not be judged: some outcomes
 	// never executed. Everything that DID run is in the journal, so the

@@ -18,8 +18,9 @@ func fakeRes(cycles int64, commits int64) *sim.Result {
 // cycles plus a per-seed wiggle, everything else takes hi. It is a pure
 // function of the run's identity minus the scheduler, so the lockstep
 // oracle twin always agrees.
-func cyclesByMode(lo, hi int64) sweep.RunFunc {
-	return func(r sweep.Run) (*sim.Result, error) {
+func cyclesByMode(lo, hi int64) sweep.TaskFunc {
+	return func(tk sweep.Task) (*sim.Result, error) {
+		r := tk.Run
 		c := hi
 		if r.Params.Mode == sim.RetCon {
 			c = lo
@@ -28,14 +29,14 @@ func cyclesByMode(lo, hi int64) sweep.RunFunc {
 	}
 }
 
-func runMinimal(t *testing.T, mutate func(h *Hypothesis), runner sweep.RunFunc) *Report {
+func runMinimal(t *testing.T, mutate func(h *Hypothesis), runner sweep.TaskFunc) *Report {
 	t.Helper()
 	h := minimal()
 	h.Seeds = []int64{1, 2, 3}
 	if mutate != nil {
 		mutate(h)
 	}
-	rep, err := Run(h, Options{Workers: 2, Runner: runner})
+	rep, err := Run(h, Options{Engine: sweep.Engine{Workers: 2, Tasks: runner}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,8 @@ func TestRunRefuted(t *testing.T) {
 }
 
 func TestRunWatchdogTrip(t *testing.T) {
-	rep := runMinimal(t, nil, func(r sweep.Run) (*sim.Result, error) {
+	rep := runMinimal(t, nil, func(tk sweep.Task) (*sim.Result, error) {
+		r := tk.Run
 		if r.Params.Mode == sim.RetCon && r.Seed == 2 {
 			// The structured watchdog error, wrapped the way the runner
 			// wraps it: classification must survive %w wrapping.
@@ -99,7 +101,8 @@ func TestRunWatchdogTrip(t *testing.T) {
 func TestRunSchedulerDivergence(t *testing.T) {
 	// The lockstep twin of one grid run disagrees: infra anomaly, and the
 	// whole report is INCONCLUSIVE even though the cell numbers decide.
-	rep := runMinimal(t, nil, func(r sweep.Run) (*sim.Result, error) {
+	rep := runMinimal(t, nil, func(tk sweep.Task) (*sim.Result, error) {
+		r := tk.Run
 		c := int64(500)
 		if r.Params.Mode == sim.RetCon {
 			c = 100
@@ -126,7 +129,8 @@ func TestRunSchedulerDivergence(t *testing.T) {
 func TestRunOracleOff(t *testing.T) {
 	// With the oracle off the divergent lockstep twin is never executed.
 	rep := runMinimal(t, func(h *Hypothesis) { h.Oracle = "off" },
-		func(r sweep.Run) (*sim.Result, error) {
+		func(tk sweep.Task) (*sim.Result, error) {
+			r := tk.Run
 			if r.Params.Sched == sim.SchedLockstep {
 				return nil, fmt.Errorf("oracle ran despite oracle: off")
 			}
@@ -142,7 +146,8 @@ func TestRunOracleOff(t *testing.T) {
 }
 
 func TestRunZeroCommitsAnomaly(t *testing.T) {
-	rep := runMinimal(t, nil, func(r sweep.Run) (*sim.Result, error) {
+	rep := runMinimal(t, nil, func(tk sweep.Task) (*sim.Result, error) {
+		r := tk.Run
 		commits := int64(1)
 		if r.Params.Mode == sim.Eager && r.Seed == 1 {
 			commits = 0
@@ -184,7 +189,8 @@ func TestRunBaselines(t *testing.T) {
 		h.Metric = "speedup"
 		h.Direction = "increase"
 		h.MinEffect = 1
-	}, func(r sweep.Run) (*sim.Result, error) {
+	}, func(tk sweep.Task) (*sim.Result, error) {
+		r := tk.Run
 		switch {
 		case r.Params.Cores == 1 && r.Params.Mode == sim.Eager:
 			return fakeRes(1000, 1), nil
@@ -211,7 +217,8 @@ func TestRunRefutedBeatsInconclusive(t *testing.T) {
 	rep := runMinimal(t, func(h *Hypothesis) {
 		h.Treatment.Workloads = []string{"counter", "labyrinth"}
 		h.Control.Workloads = []string{"counter", "labyrinth"}
-	}, func(r sweep.Run) (*sim.Result, error) {
+	}, func(tk sweep.Task) (*sim.Result, error) {
+		r := tk.Run
 		commits := int64(1)
 		if r.Workload == "labyrinth" && r.Params.Mode == sim.RetCon {
 			commits = 0 // cell-local anomaly → that cell is inconclusive
@@ -241,7 +248,7 @@ func TestRunSchedOverrideStillDeterministic(t *testing.T) {
 		h := minimal()
 		h.Seeds = []int64{1, 2, 3}
 		kk := k
-		rep, err := Run(h, Options{Workers: 4, Sched: &kk, Runner: cyclesByMode(100, 500)})
+		rep, err := Run(h, Options{Engine: sweep.Engine{Workers: 4, Tasks: cyclesByMode(100, 500)}, Sched: &kk})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,12 @@
-// Package progress renders a sweep engine's Progress counters as
-// periodic status lines for the CLIs. It deliberately lives outside the
-// deterministic packages: the reporter polls on a wall-clock ticker
-// from its own goroutine, which the engine itself must never do — the
-// engine only bumps atomic counters, and everything time-flavored
-// (intervals, ETA extrapolation, rendering) happens here, on stderr,
-// where it can never perturb byte-stable stdout output.
+// Package progress holds the CLI side of the sweep engine: the engine
+// flags retcon-sweep and retcon-lab run share (Flags), and the reporter
+// that renders the engine's Progress counters as periodic status lines.
+// It deliberately lives outside the deterministic packages: the reporter
+// polls on a wall-clock ticker from its own goroutine, which the engine
+// itself must never do — the engine only bumps atomic counters, and
+// everything time-flavored (intervals, ETA extrapolation, rendering)
+// happens here, on stderr, where it can never perturb byte-stable
+// stdout output.
 package progress
 
 import (

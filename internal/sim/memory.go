@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/core"
+	"repro/internal/htm"
 	"repro/internal/mem"
 	"repro/internal/telemetry"
 )
@@ -57,7 +58,7 @@ func (m *Machine) coherentRequest(c *Core, block int64, isWrite, allowNack bool)
 		if !hazard {
 			continue
 		}
-		requesterWins := !c.Tx.Active || olderWins(c, hc)
+		requesterWins := !c.Tx.Active || htm.OlderWins(c.Tx.TS, c.ID, hc.Tx.TS, hc.ID)
 		if requesterWins {
 			continue
 		}
@@ -103,15 +104,6 @@ func (m *Machine) coherentRequest(c *Core, block int64, isWrite, allowNack bool)
 		lat = m.Dir.ApplyRead(c.ID, block, m.Now)
 	}
 	return lat, accessOK
-}
-
-// olderWins reports whether requester c beats holder h under the
-// oldest-transaction-wins policy.
-func olderWins(c, h *Core) bool {
-	if c.Tx.TS != h.Tx.TS {
-		return c.Tx.TS < h.Tx.TS
-	}
-	return c.ID < h.ID
 }
 
 // memAccess performs the cache-hierarchy plus (if needed) directory access

@@ -7,25 +7,21 @@ import (
 	"repro/internal/sim"
 )
 
-// RunFunc executes one run. The default (nil) runner builds the workload
-// and drives the cycle-level simulator directly; tests substitute fakes.
-type RunFunc func(Run) (*sim.Result, error)
-
 // Engine executes expanded runs across a bounded pool of worker
 // goroutines, with fault isolation around every run: panics become
 // structured Outcome errors, hung runs are abandoned on a wall-clock
 // deadline, possibly-transient failures retry deterministically, and a
 // journal makes an interrupted sweep resumable. The zero value is ready
 // to use: GOMAXPROCS workers, the real simulator, and every resilience
-// feature off.
+// feature off. An Engine is the whole description of how a grid
+// executes: retcon-sweep and retcon-lab build one from the same flags
+// (internal/progress.Flags), and lab.Run executes the one it is given.
 type Engine struct {
 	// Workers bounds the pool; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Runner overrides run execution (tests); nil means the simulator.
-	Runner RunFunc
 	// Tasks overrides run execution at the attempt level, seeing the
 	// attempt number and the machine-ownership handle (fault injection:
-	// internal/chaos). Takes precedence over Runner; nil falls back.
+	// internal/chaos; fakes in tests); nil means the simulator.
 	Tasks TaskFunc
 	// Deadline bounds each attempt's wall-clock time; an attempt that
 	// exceeds it is abandoned and fails with FailDeadline. <= 0 disables.
@@ -34,8 +30,6 @@ type Engine struct {
 	// attempts (deterministic failures — watchdog, oracle divergence —
 	// never retry). 0 disables retry.
 	Retries int
-	// RetrySeed seeds the deterministic retry-backoff jitter.
-	RetrySeed int64
 	// RetryBackoff is the base wall-clock pause between attempts
 	// (jittered into [base, 2*base)); <= 0 means 25ms.
 	RetryBackoff time.Duration
@@ -65,10 +59,6 @@ func (e *Engine) workers() int {
 func (e *Engine) taskFunc() TaskFunc {
 	if e.Tasks != nil {
 		return e.Tasks
-	}
-	if e.Runner != nil {
-		run := e.Runner
-		return func(t Task) (*sim.Result, error) { return run(t.Run) }
 	}
 	return defaultRunner
 }

@@ -18,7 +18,8 @@ type fakeRunner struct {
 	calls map[key]int
 }
 
-func (f *fakeRunner) run(r Run) (*sim.Result, error) {
+func (f *fakeRunner) run(t Task) (*sim.Result, error) {
+	r := t.Run
 	f.mu.Lock()
 	if f.calls == nil {
 		f.calls = make(map[key]int)
@@ -40,7 +41,7 @@ func grid(n int) []Run {
 
 func TestExecuteOrderAndCompleteness(t *testing.T) {
 	f := &fakeRunner{}
-	eng := Engine{Workers: 4, Runner: f.run}
+	eng := Engine{Workers: 4, Tasks: f.run}
 	runs := grid(50)
 	outs := eng.Execute(runs)
 	if len(outs) != len(runs) {
@@ -61,7 +62,7 @@ func TestExecuteOrderAndCompleteness(t *testing.T) {
 
 func TestExecuteDeduplicates(t *testing.T) {
 	f := &fakeRunner{}
-	eng := Engine{Workers: 4, Runner: f.run}
+	eng := Engine{Workers: 4, Tasks: f.run}
 	base := grid(5)
 	// Triple every run, interleaved.
 	var runs []Run
@@ -90,7 +91,7 @@ func TestExecuteDeduplicates(t *testing.T) {
 
 func TestExecuteStreamIsInputOrdered(t *testing.T) {
 	f := &fakeRunner{}
-	eng := Engine{Workers: 8, Runner: f.run}
+	eng := Engine{Workers: 8, Tasks: f.run}
 	runs := grid(40)
 	var got []Run
 	eng.ExecuteStream(runs, func(o Outcome) { got = append(got, o.Run) })
@@ -104,9 +105,9 @@ func TestExecuteStreamIsInputOrdered(t *testing.T) {
 func TestExecutePropagatesErrors(t *testing.T) {
 	boom := errors.New("boom")
 	var n atomic.Int64
-	eng := Engine{Workers: 2, Runner: func(r Run) (*sim.Result, error) {
+	eng := Engine{Workers: 2, Tasks: func(t Task) (*sim.Result, error) {
 		if n.Add(1)%2 == 0 {
-			return nil, fmt.Errorf("run %d: %w", r.Seed, boom)
+			return nil, fmt.Errorf("run %d: %w", t.Run.Seed, boom)
 		}
 		return &sim.Result{Cycles: 1}, nil
 	}}

@@ -3,7 +3,6 @@ package sweep
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -31,7 +30,8 @@ type Task struct {
 }
 
 // TaskFunc executes one attempt. The engine's default is the simulator
-// (SimRunner(nil)); tests and internal/chaos substitute wrappers.
+// (SimRunner(nil)); internal/chaos substitutes a fault-injecting wrapper,
+// and tests substitute fakes that read only t.Run.
 type TaskFunc func(Task) (*sim.Result, error)
 
 // ticket tracks which machine a running attempt currently owns so that a
@@ -150,7 +150,7 @@ func (e *Engine) attemptOnce(fn TaskFunc, r Run, attempt int) (*sim.Result, erro
 // guardedRun is the engine's resilient run executor: panic isolation and
 // deadline abandonment per attempt (attemptOnce), plus deterministic
 // retry — possibly-transient failures get up to Engine.Retries further
-// attempts with seeded backoff, deterministic failures (watchdog, oracle
+// attempts with jittered backoff, deterministic failures (watchdog, oracle
 // divergence) surface immediately.
 func (e *Engine) guardedRun(fn TaskFunc, r Run) (*sim.Result, error) {
 	for attempt := 0; ; attempt++ {
@@ -162,8 +162,8 @@ func (e *Engine) guardedRun(fn TaskFunc, r Run) (*sim.Result, error) {
 			return nil, err
 		}
 		e.progressRetry()
-		//lint:nondet-safe seeded retry backoff; a wall-clock pause between attempts, never reaches a Result
-		time.Sleep(retryDelay(r, attempt, e.RetrySeed, e.retryBackoff()))
+		//lint:nondet-safe hashed retry backoff; a wall-clock pause between attempts, never reaches a Result
+		time.Sleep(retryDelay(r, attempt, e.retryBackoff()))
 	}
 }
 
@@ -174,15 +174,14 @@ func (e *Engine) retryBackoff() time.Duration {
 	return 25 * time.Millisecond
 }
 
-// retryDelay derives an attempt's backoff deterministically from the run
-// identity, the engine's retry seed and the attempt number: jitter
-// decorrelates retries across a grid without consulting any
-// nondeterministic source, so a replayed sweep waits the same delays.
-// The delay is in [base, 2*base).
-func retryDelay(r Run, attempt int, seed int64, base time.Duration) time.Duration {
+// retryDelay derives an attempt's backoff deterministically from a hash
+// of the run identity and the attempt number: jitter decorrelates
+// retries across a grid without consulting any nondeterministic source,
+// so a replayed sweep waits the same delays. The delay is in
+// [base, 2*base).
+func retryDelay(r Run, attempt int, base time.Duration) time.Duration {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%v|%d|%d|%d",
-		r.Workload, r.Seed, r.Params.Mode, r.Params.Cores, seed, attempt)
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
-	return base + time.Duration(rng.Int63n(int64(base)))
+	fmt.Fprintf(h, "%s|%d|%v|%d|%d",
+		r.Workload, r.Seed, r.Params.Mode, r.Params.Cores, attempt)
+	return base + time.Duration(h.Sum64()%uint64(base))
 }

@@ -309,21 +309,23 @@ func TestQuarantineOnFailure(t *testing.T) {
 	}
 }
 
-// TestRetryDelayDeterminism: backoff is a pure function of run identity,
-// retry seed and attempt — and stays within [base, 2*base).
+// TestRetryDelayDeterminism: backoff is a pure function of run identity
+// and attempt — and stays within [base, 2*base).
 func TestRetryDelayDeterminism(t *testing.T) {
 	r := grid(1)[0]
 	base := 25 * time.Millisecond
-	d1 := retryDelay(r, 0, 42, base)
-	d2 := retryDelay(r, 0, 42, base)
+	d1 := retryDelay(r, 0, base)
+	d2 := retryDelay(r, 0, base)
 	if d1 != d2 {
 		t.Errorf("same inputs gave %v and %v", d1, d2)
 	}
 	if d1 < base || d1 >= 2*base {
 		t.Errorf("delay %v outside [base, 2*base)", d1)
 	}
-	if retryDelay(r, 1, 42, base) == d1 && retryDelay(r, 0, 43, base) == d1 {
-		t.Error("delay ignores attempt and seed")
+	other := r
+	other.Seed++
+	if retryDelay(r, 1, base) == d1 && retryDelay(other, 0, base) == d1 {
+		t.Error("delay ignores attempt and run identity")
 	}
 }
 

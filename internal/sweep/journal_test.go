@@ -133,7 +133,7 @@ func TestJournalMemoizesEngine(t *testing.T) {
 	j := NewJournal()
 	f := &fakeRunner{}
 	runs := grid(10)
-	eng := Engine{Workers: 4, Runner: f.run, Journal: j}
+	eng := Engine{Workers: 4, Tasks: f.run, Journal: j}
 	first := eng.Execute(runs)
 	if got := len(f.calls); got != 10 {
 		t.Fatalf("first pass executed %d runs, want 10", got)
@@ -161,7 +161,7 @@ func TestJournalRecordsFailuresNotInterrupts(t *testing.T) {
 	j := NewJournal()
 	stop := make(chan struct{})
 	close(stop) // checkpoint before anything is issued
-	eng := Engine{Workers: 2, Runner: (&fakeRunner{}).run, Journal: j, Stop: stop}
+	eng := Engine{Workers: 2, Tasks: (&fakeRunner{}).run, Journal: j, Stop: stop}
 	outs := eng.Execute(grid(6))
 	executed := 0
 	for _, o := range outs {

@@ -90,6 +90,47 @@ func TestReadEventsTruncatedBinary(t *testing.T) {
 	}
 }
 
+// TestReadEventsRejectsOutOfRange: an event no run can emit (kind or
+// cause past the taxonomy, core outside the simulator's range) is an
+// error in both wire formats, naming the event's index, never an event
+// that panics a consumer indexing per-kind or per-core tables.
+func TestReadEventsRejectsOutOfRange(t *testing.T) {
+	good := Event{Cycle: 1, Core: 0, Kind: KindBegin, Tx: 1}
+	for _, tc := range []struct {
+		name string
+		bad  Event
+	}{
+		{"kind", Event{Cycle: 2, Kind: 200}},
+		{"kind=NumKinds", Event{Cycle: 2, Kind: NumKinds}},
+		{"cause", Event{Cycle: 2, Kind: KindAbort, Cause: NumCauses}},
+		{"core=64", Event{Cycle: 2, Core: 64, Kind: KindCommit}},
+		{"core=2e9", Event{Cycle: 2, Core: 2_000_000_000, Kind: KindCommit}},
+		{"core<0", Event{Cycle: 2, Core: -1, Kind: KindCommit}},
+	} {
+		for _, format := range []struct {
+			name string
+			sink func(*bytes.Buffer) Sink
+		}{
+			{"jsonl", func(b *bytes.Buffer) Sink { return NewJSONLSink(b) }},
+			{"binary", func(b *bytes.Buffer) Sink { return NewBinarySink(b) }},
+		} {
+			t.Run(tc.name+"/"+format.name, func(t *testing.T) {
+				var buf bytes.Buffer
+				if err := format.sink(&buf).WriteEvents([]Event{good, tc.bad}); err != nil {
+					t.Fatal(err)
+				}
+				evs, err := ReadEvents(bytes.NewReader(buf.Bytes()))
+				if err == nil {
+					t.Fatalf("decoded %+v without error", evs)
+				}
+				if !strings.Contains(err.Error(), "event 1:") {
+					t.Errorf("error %q does not name event 1", err)
+				}
+			})
+		}
+	}
+}
+
 func TestRecorderPassesEveryKind(t *testing.T) {
 	var buf bytes.Buffer
 	rec := NewRecorder(NewJSONLSink(&buf), 4)

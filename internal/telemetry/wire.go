@@ -142,7 +142,8 @@ func decodeEventBinary(rec []byte) Event {
 // ReadEvents decodes a complete trace in either wire format, sniffing
 // the binary magic. A short trailing record or line (a run killed
 // mid-write) is an error; traces flushed through Recorder.Flush are
-// always record-aligned.
+// always record-aligned. An event no run can emit is an error too
+// (checkEvent).
 func ReadEvents(r io.Reader) ([]Event, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(len(binaryMagic))
@@ -169,7 +170,11 @@ func readBinary(br *bufio.Reader) ([]Event, error) {
 		if err != nil {
 			return nil, fmt.Errorf("telemetry: truncated binary record after %d events: %w", len(evs), err)
 		}
-		evs = append(evs, decodeEventBinary(rec))
+		e := decodeEventBinary(rec)
+		if err := checkEvent(&e, len(evs)); err != nil {
+			return nil, err
+		}
+		evs = append(evs, e)
 	}
 }
 
@@ -188,19 +193,42 @@ func readJSONL(br *bufio.Reader) ([]Event, error) {
 		}
 		kind, ok := KindFromString(je.Kind)
 		if !ok {
-			return nil, fmt.Errorf("telemetry: unknown event kind %q after %d events", je.Kind, len(evs))
+			return nil, fmt.Errorf("telemetry: event %d: unknown kind %q", len(evs), je.Kind)
 		}
 		cause, ok := CauseFromString(je.Cause)
 		if !ok {
-			return nil, fmt.Errorf("telemetry: unknown abort cause %q after %d events", je.Cause, len(evs))
+			return nil, fmt.Errorf("telemetry: event %d: unknown abort cause %q", len(evs), je.Cause)
 		}
-		evs = append(evs, Event{
+		e := Event{
 			Cycle: je.T, Core: je.Core, Kind: kind, Cause: cause,
 			Tx: je.Tx, Block: je.Block, A: je.A, B: je.B, C: je.C, D: je.D, E: je.E,
-		})
+		}
+		if err := checkEvent(&e, len(evs)); err != nil {
+			return nil, err
+		}
+		evs = append(evs, e)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return evs, nil
+}
+
+// maxCores is the simulator's core limit (sim.Params.Validate): no run
+// emits an event for a core outside [0, maxCores).
+const maxCores = 64
+
+// checkEvent rejects a decoded event that no run can emit, naming its
+// index in the trace, so a consumer can index per-kind, per-cause and
+// per-core tables with any event ReadEvents returns.
+func checkEvent(e *Event, i int) error {
+	switch {
+	case e.Kind >= NumKinds:
+		return fmt.Errorf("telemetry: event %d: kind %d out of range", i, e.Kind)
+	case e.Cause >= NumCauses:
+		return fmt.Errorf("telemetry: event %d: cause %d out of range", i, e.Cause)
+	case e.Core < 0 || e.Core >= maxCores:
+		return fmt.Errorf("telemetry: event %d: core %d outside [0, %d)", i, e.Core, maxCores)
+	}
+	return nil
 }
