@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -67,17 +68,22 @@ func Check(p *Prog, o Options) *Divergence {
 		return &Divergence{Seed: p.Seed, Oracle: OracleRun, Detail: err.Error()}
 	}
 	c := &checker{p: p, ex: ex, o: o, img: img, progs: progs, lay: lay,
-		lockTrace: newEventLog(), evTrace: newEventLog()}
+		lockTrace: eventLogs.Get().(*eventLog), evTrace: eventLogs.Get().(*eventLog)}
+	var d *Divergence
 	for _, mode := range []sim.Mode{sim.Eager, sim.LazyVB, sim.RetCon} {
-		if d := c.checkMode(mode); d != nil {
-			return d
+		if d = c.checkMode(mode); d != nil {
+			break
 		}
 	}
-	return nil
+	// A divergence keeps no reference to the logs. A panic skips this,
+	// so a log it may have left mid-write is never reused.
+	eventLogs.Put(c.lockTrace)
+	eventLogs.Put(c.evTrace)
+	return d
 }
 
 // checker holds one program's single compile and the per-scheduler trace
-// buffers that its six runs share.
+// buffers that its six runs share, taken from eventLogs.
 type checker struct {
 	p     *Prog
 	ex    *expect
@@ -237,6 +243,11 @@ func newEventLog() *eventLog {
 	l.rec = telemetry.NewRecorder(l, recorderRing)
 	return l
 }
+
+// eventLogs recycles event logs, with their recorders and grown buffers,
+// across Check calls, as machines recycles simulators: runSched resets a
+// log before every run, so reuse cannot change a verdict.
+var eventLogs = sync.Pool{New: func() any { return newEventLog() }}
 
 // reset empties the log for the next run, keeping its buffer.
 func (l *eventLog) reset() {

@@ -21,7 +21,9 @@ import (
 // interval, rendering p's counters plus an ETA extrapolated from the
 // mean per-run pace so far. The returned stop function halts the
 // ticker, waits for the goroutine to exit, and writes one final line so
-// the last state is always visible.
+// the last state is always visible. The final line carries no ETA: a
+// grid stopped early (a ^C checkpoint) says instead how many runs never
+// started.
 func Start(w io.Writer, name string, p *sweep.Progress, every time.Duration) (stop func()) {
 	start := time.Now()
 	quit := make(chan struct{})
@@ -33,7 +35,7 @@ func Start(w io.Writer, name string, p *sweep.Progress, every time.Duration) (st
 		for {
 			select {
 			case <-t.C:
-				fmt.Fprintln(w, line(name, p, start))
+				fmt.Fprintln(w, line(name, p, start, false))
 			case <-quit:
 				return
 			}
@@ -42,13 +44,14 @@ func Start(w io.Writer, name string, p *sweep.Progress, every time.Duration) (st
 	return func() {
 		close(quit)
 		<-done
-		fmt.Fprintln(w, line(name, p, start))
+		fmt.Fprintln(w, line(name, p, start, true))
 	}
 }
 
-// line renders one status line: completed/total, failure and retry
-// counts when nonzero, and the ETA while the grid is still draining.
-func line(name string, p *sweep.Progress, start time.Time) string {
+// line renders one status line: completed/total and failure and retry
+// counts when nonzero. While the grid is still draining, a ticker line
+// adds the ETA and the final line the count of runs that never started.
+func line(name string, p *sweep.Progress, start time.Time, final bool) string {
 	total, done := p.Total.Load(), p.Done.Load()
 	s := fmt.Sprintf("%s: progress %d/%d runs", name, done, total)
 	if f := p.Failed.Load(); f > 0 {
@@ -57,7 +60,10 @@ func line(name string, p *sweep.Progress, start time.Time) string {
 	if r := p.Retried.Load(); r > 0 {
 		s += fmt.Sprintf(", %d retried", r)
 	}
-	if done > 0 && done < total {
+	switch {
+	case final && done < total:
+		s += fmt.Sprintf(", %d not started", total-done)
+	case done > 0 && done < total:
 		eta := time.Duration(float64(time.Since(start)) / float64(done) * float64(total-done))
 		s += fmt.Sprintf(", eta %s", eta.Round(time.Second))
 	}

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -12,7 +14,7 @@ import (
 
 // TestBusyLoopInstrCount pins isa.BusyLoop's length under lockstep: the li
 // and then 2·max(count,1) addi/bgt instructions, the count the event
-// loop's fast-forward charges. The final counter is min(count,1)−1.
+// loop's fold charges. The final counter is min(count,1)−1.
 func TestBusyLoopInstrCount(t *testing.T) {
 	for _, count := range []int64{-7, -1, 0, 1, 2, 5, 64} {
 		img := mem.NewImage()
@@ -32,8 +34,9 @@ func TestBusyLoopInstrCount(t *testing.T) {
 // cycle: at is given the machine and core's PC before the cycle, and
 // returns a PC to record and whether to record it. The PC is recorded as
 // its offset from head, the core's busy-loop addi. It lets a test see
-// where lockstep stands inside a busy loop at the moment the event loop
-// has to unwind one, without changing the run.
+// where lockstep stands inside a busy loop at the moment a remote abort
+// or the watchdog meets a core the event loop ran ahead, without
+// changing the run.
 type probeSched struct {
 	core, head int
 	at         func(m *Machine, before int) (pc int, ok bool)
@@ -108,8 +111,8 @@ func busyAbortScenario(victim, aborter, pad int) func() (*mem.Image, []*isa.Prog
 
 // busySpinScenario: core loop runs pad NOPs and a 5000-iteration busy
 // loop; every other core commits an empty transaction and then spins for
-// 3000 cycles on a loop the event loop cannot fast-forward, so the event
-// loop visits every cycle while core loop is inside its busy loop.
+// 3000 cycles on a register-only loop that is not a busy loop, so the
+// event loop keeps taking turns while core loop is inside its busy loop.
 func busySpinScenario(cores, loop, pad int) func() (*mem.Image, []*isa.Program) {
 	return func() (*mem.Image, []*isa.Program) {
 		img := mem.NewImage()
@@ -159,14 +162,118 @@ func busyValueScenario(v int64) func() (*mem.Image, []*isa.Program) {
 	}
 }
 
-// TestSchedulerBusyLoopEdges drives the event loop's busy-loop
-// fast-forward through the places that observe a core inside a loop it
-// ran in one step, and requires lockstep's outcome every time: the same
-// Result (or the same error), final image and trace. Each row must see
-// the fast-forward fire (SchedStats.BusySkipped > 0). A row with a watch
-// observes lockstep where the event loop has to unwind the loop, over
-// its pad sweep, and must see both of the loop's PCs there: the unwind
-// lands once with the addi next and once with the bgt.
+// runAbortScenario: the victim's transaction writes x and, when load is
+// set, loads y from memory, so that its next run starts only after that
+// load's multi-cycle latency; then it runs body, which touches only
+// registers. After delay cycles the aborter's plain store to x aborts it
+// remotely. Sweeping delay moves the abort over the store's latency, the
+// load's and the run.
+func runAbortScenario(victim, aborter, delay int, load bool, body func(b *isa.Builder)) func() (*mem.Image, []*isa.Program) {
+	return func() (*mem.Image, []*isa.Program) {
+		img := mem.NewImage()
+		x := img.AllocBlocks(mem.BlockSize)
+		y := img.AllocBlocks(mem.BlockSize)
+		progs := make([]*isa.Program, 2)
+		b := isa.NewBuilder("victim")
+		b.TxBegin()
+		b.St(isa.Zero, isa.Zero, x, 8)
+		if load {
+			b.Ld(isa.R(5), isa.Zero, y, 8)
+		}
+		body(b)
+		b.TxCommit()
+		b.Barrier()
+		b.Halt()
+		progs[victim] = b.MustAssemble()
+		b = isa.NewBuilder("aborter")
+		for range delay % 2 {
+			b.Nop()
+		}
+		b.BusyLoop(isa.R(1), int64(delay/2), "late")
+		b.St(isa.Zero, isa.Zero, x, 8)
+		b.Barrier()
+		b.Halt()
+		progs[aborter] = b.MustAssemble()
+		return img, progs
+	}
+}
+
+// spinBody is a 120-instruction register-only loop the event loop cannot
+// fold: it runs inside runs, instruction by instruction.
+func spinBody(b *isa.Builder) { spinLoop(b, isa.R(2), 40, "spin") }
+
+// chainedBody runs two busy loops inside one run, with register-only
+// instructions before, between and after them.
+func chainedBody(b *isa.Builder) {
+	b.Nop()
+	b.Addi(isa.R(3), isa.R(3), 1)
+	b.BusyLoop(isa.R(2), 60, "first")
+	b.Addi(isa.R(3), isa.R(3), 1)
+	b.BusyLoop(isa.R(4), 30, "second")
+	b.Nop()
+}
+
+// symbolicStopScenario runs, in stealProgs' tracked transaction, two
+// symbolic words of the stolen block through first (r4, the first word)
+// and then second (r6, the second word plus one), with register-only
+// instructions between them, under a one-entry
+// constraint buffer (see oneConstraint): first's pin or constraint fills
+// the buffer and second's overflows it, so second must abort at its own
+// cycle. A run that went on through second would abort at the wrong one.
+func symbolicStopScenario(first, second func(b *isa.Builder)) func(int) func() (*mem.Image, []*isa.Program) {
+	return func(int) func() (*mem.Image, []*isa.Program) {
+		return func() (*mem.Image, []*isa.Program) {
+			img := mem.NewImage()
+			_, progs := stealProgs(img, 5, 5, func(b *isa.Builder, a int64) {
+				b.TxBegin()
+				b.Ld(isa.R(4), isa.Zero, a, 8)
+				b.Ld(isa.R(5), isa.Zero, a+8, 8)
+				first(b)
+				b.Addi(isa.R(6), isa.R(5), 1) // propagates: stays in the run
+				b.Nop()
+				b.Nop()
+				second(b)
+				b.BusyLoop(isa.R(8), 300, "lose")
+				b.St(isa.R(7), isa.Zero, a+16, 8)
+				b.TxCommit()
+			})
+			return img, progs
+		}
+	}
+}
+
+// symbolicMul pins the symbolic value in r; symbolicBranch constrains it.
+func symbolicMul(r isa.Reg) func(b *isa.Builder) {
+	return func(b *isa.Builder) { b.Mul(isa.R(7), r, r) }
+}
+
+func symbolicBranch(r isa.Reg) func(b *isa.Builder) {
+	return func(b *isa.Builder) {
+		label := fmt.Sprintf("taken%d", r)
+		b.Bgt(r, isa.Zero, label)
+		b.Label(label)
+	}
+}
+
+func oneConstraint(p *Params) { p.Retcon.ConstraintEntries = 1 }
+
+// structOverflowed requires lockstep to have aborted on a full constraint
+// buffer, which symbolicStopScenario's rows exist to place.
+func structOverflowed(t *testing.T, lockstep *Result) {
+	if lockstep.Metrics.AbortCause[telemetry.CauseStructOverflow] == 0 {
+		t.Error("no constraint-buffer overflow: the symbolic instruction never aborted")
+	}
+}
+
+// TestSchedulerBusyLoopEdges drives the event loop's runs of local
+// instructions (runLocal), and the busy loops folded inside them,
+// through the places that observe or bound a core inside a run, and
+// requires lockstep's outcome every time: the same Result (or the same
+// error), final image and trace. Each row must see folding fire
+// (SchedStats.RunInstrs > 0). A row with a watch observes lockstep where
+// a remote abort or the watchdog meets the core inside its busy loop,
+// over its pad sweep, and must see both of the loop's PCs there: once
+// with the addi next and once with the bgt.
 func TestSchedulerBusyLoopEdges(t *testing.T) {
 	const maxCycles = 1501
 	for _, row := range []struct {
@@ -175,13 +282,15 @@ func TestSchedulerBusyLoopEdges(t *testing.T) {
 		mode  Mode
 		pads  int
 		max   int64 // MaxCycles; 0 keeps the default
-		build func(pad int) func() (*mem.Image, []*isa.Program)
+		// params, when set, adjusts the row's machine parameters.
+		params func(*Params)
+		build  func(pad int) func() (*mem.Image, []*isa.Program)
 		// watch, when set, observes core watchCore's busy loop in lockstep.
 		watch     func() func(m *Machine, before int) (int, bool)
 		watchCore int
 		// prior, when set, is run first on the machine the event runs
 		// reuse, and interrupted at its first commit while a core is
-		// inside a fast-forwarded loop.
+		// inside a run.
 		prior   func() (*mem.Image, []*isa.Program)
 		wantErr bool
 		check   func(t *testing.T, lockstep *Result)
@@ -197,10 +306,9 @@ func TestSchedulerBusyLoopEdges(t *testing.T) {
 			watch: cycleAt(0, maxCycles), watchCore: 0,
 			wantErr: true},
 		{name: "interrupt-mid-loop", cores: 4, mode: Eager, pads: 1, max: maxCycles,
-			// The reused run's core 0 spins instead, and the watchdog
-			// expires while it does: a loop end left over from the
-			// interrupted run would unwind core 0 there and corrupt
-			// WatchdogError.PCs.
+			// The reused machine's runs start from a Reset: bounds left
+			// over from the run the interrupt cut short must not reach
+			// them. Its core 0 spins instead, until the watchdog.
 			prior:   busySpinScenario(4, 0, 0),
 			build:   func(int) func() (*mem.Image, []*isa.Program) { return busySpinScenario(4, 3, 0) },
 			wantErr: true},
@@ -210,10 +318,15 @@ func TestSchedulerBusyLoopEdges(t *testing.T) {
 			build: func(int) func() (*mem.Image, []*isa.Program) { return busyValueScenario(0) }},
 		{name: "counter<0", cores: 2, mode: RetCon, pads: 1,
 			build: func(int) func() (*mem.Image, []*isa.Program) { return busyValueScenario(-5) }},
+		{name: "counter=MinInt64", cores: 2, mode: RetCon, pads: 1, max: maxCycles,
+			// The first decrement wraps to MaxInt64, so the loop runs
+			// into the watchdog instead of ending after two instructions.
+			build:   func(int) func() (*mem.Image, []*isa.Program) { return busyValueScenario(math.MinInt64) },
+			wantErr: true},
 		{name: "retcon-symbolic-counter", cores: 2, mode: RetCon, pads: 1,
 			// The counter is loaded from the tracked block, so every bgt
 			// constrains its root: the loop must run instruction by
-			// instruction. The other cores' busy loops fast-forward.
+			// instruction. The other cores' busy loops fold.
 			build: func(int) func() (*mem.Image, []*isa.Program) {
 				return func() (*mem.Image, []*isa.Program) {
 					img := mem.NewImage()
@@ -233,6 +346,63 @@ func TestSchedulerBusyLoopEdges(t *testing.T) {
 			check: func(t *testing.T, lockstep *Result) {
 				if lockstep.Retcon.SumConstraints == 0 {
 					t.Error("the symbolic counter recorded no constraint")
+				}
+			}},
+		{name: "abort-in-run/eager", cores: 2, mode: Eager, pads: 150,
+			build: func(pad int) func() (*mem.Image, []*isa.Program) {
+				return runAbortScenario(1, 0, 140+pad, false, spinBody)
+			}},
+		{name: "abort-in-run/retcon", cores: 2, mode: RetCon, pads: 150,
+			build: func(pad int) func() (*mem.Image, []*isa.Program) {
+				return runAbortScenario(0, 1, 140+pad, false, spinBody)
+			}},
+		{name: "abort-in-load-latency/aborter-below", cores: 2, mode: Eager, pads: 300,
+			// The refund of a run aborted before it began must leave out
+			// the load latency that precedes it.
+			build: func(pad int) func() (*mem.Image, []*isa.Program) {
+				return runAbortScenario(1, 0, 140+pad, true, spinBody)
+			}},
+		{name: "abort-in-load-latency/aborter-above", cores: 2, mode: RetCon, pads: 300,
+			build: func(pad int) func() (*mem.Image, []*isa.Program) {
+				return runAbortScenario(0, 1, 140+pad, true, spinBody)
+			}},
+		{name: "abort-in-chained-busy-loop", cores: 2, mode: Eager, pads: 210,
+			build: func(pad int) func() (*mem.Image, []*isa.Program) {
+				return runAbortScenario(1, 0, 140+pad, false, chainedBody)
+			}},
+		{name: "watchdog-mid-run", cores: 1, mode: Eager, pads: 3, max: 1700,
+			// The spin loop's three PCs each meet the watchdog once. Two
+			// full turns (2050 instructions) would end 350 instructions,
+			// not a whole number of iterations, past the bound.
+			build: func(pad int) func() (*mem.Image, []*isa.Program) {
+				return func() (*mem.Image, []*isa.Program) {
+					b := isa.NewBuilder("spin")
+					for range pad {
+						b.Nop()
+					}
+					spinLoop(b, isa.R(1), 1000, "spin")
+					b.Halt()
+					return mem.NewImage(), []*isa.Program{b.MustAssemble()}
+				}
+			},
+			wantErr: true},
+		{name: "retcon-stop-at-symbolic-mul", cores: 2, mode: RetCon, pads: 1, params: oneConstraint,
+			build: symbolicStopScenario(symbolicBranch(isa.R(4)), symbolicMul(isa.R(6))), check: structOverflowed},
+		{name: "retcon-stop-at-symbolic-branch", cores: 2, mode: RetCon, pads: 1, params: oneConstraint,
+			build: symbolicStopScenario(symbolicMul(isa.R(4)), symbolicBranch(isa.R(6))), check: structOverflowed},
+		{name: "register-loop-over-turn-cap", cores: 2, mode: Eager, pads: 1,
+			// 6000 register-only instructions take several turns of at
+			// most interruptWindow each, while the other core's
+			// transactions keep the event loop visiting other cycles.
+			build: func(int) func() (*mem.Image, []*isa.Program) {
+				return func() (*mem.Image, []*isa.Program) {
+					img, _, progs := buildCounter(2, 6, 2, 10)
+					b := isa.NewBuilder("long")
+					spinLoop(b, isa.R(1), 2000, "spin")
+					b.Barrier()
+					b.Halt()
+					progs[1] = b.MustAssemble()
+					return img, progs
 				}
 			}},
 		{name: "jump-to-bgt", cores: 1, mode: Eager, pads: 1,
@@ -258,6 +428,9 @@ func TestSchedulerBusyLoopEdges(t *testing.T) {
 			if row.max > 0 {
 				p.MaxCycles = row.max
 			}
+			if row.params != nil {
+				row.params(&p)
+			}
 			var sched SchedStats
 			seen := make(map[int]bool) // offsets from the watched loop's addi
 			for pad := 0; pad < row.pads; pad++ {
@@ -272,7 +445,7 @@ func TestSchedulerBusyLoopEdges(t *testing.T) {
 				for _, record := range []bool{true, false} {
 					ev := runBusyRow(t, p, SchedEvent, nil, record, row.prior, build)
 					lock.compare(t, ev, record)
-					sched.BusySkipped += ev.sched.BusySkipped
+					sched.RunInstrs += ev.sched.RunInstrs
 				}
 				if row.wantErr != (lock.err != nil) {
 					t.Fatalf("pad=%d: lockstep error %v, want error: %v", pad, lock.err, row.wantErr)
@@ -281,11 +454,11 @@ func TestSchedulerBusyLoopEdges(t *testing.T) {
 					row.check(t, lock.res)
 				}
 			}
-			if sched.BusySkipped <= 0 {
-				t.Error("no busy-loop instruction was charged in bulk: the fast-forward never fired")
+			if sched.RunInstrs <= 0 {
+				t.Error("no instruction was charged inside a run: folding never fired")
 			}
 			if row.watch != nil && (!seen[0] || !seen[1]) {
-				t.Errorf("lockstep PCs at the unwind points, as offsets from the loop's addi: %v; want both the addi (0) and the bgt (1)", seen)
+				t.Errorf("lockstep PCs at the observation points, as offsets from the loop's addi: %v; want both the addi (0) and the bgt (1)", seen)
 			}
 		})
 	}
@@ -371,7 +544,7 @@ func (l *busyRowRun) compare(t *testing.T, ev *busyRowRun, traced bool) {
 
 // interruptMidLoop runs prior on m until its first commit interrupts it,
 // and requires the run to stop with an InterruptedError while some core
-// is inside a busy loop the event loop ran in one step.
+// is inside a run.
 func interruptMidLoop(t *testing.T, m *Machine, p Params, prior func() (*mem.Image, []*isa.Program)) {
 	t.Helper()
 	img, progs := prior()
@@ -384,9 +557,9 @@ func interruptMidLoop(t *testing.T, m *Machine, p Params, prior func() (*mem.Ima
 		t.Fatalf("interrupted run returned %v, want an InterruptedError", err)
 	}
 	for _, c := range m.Cores {
-		if c.loopEnd > m.Now {
+		if c.runTo > m.Now {
 			return
 		}
 	}
-	t.Fatalf("interrupted at cycle %d with no core inside a fast-forwarded busy loop", m.Now)
+	t.Fatalf("interrupted at cycle %d with no core inside a run", m.Now)
 }

@@ -9,8 +9,12 @@ import (
 )
 
 // exec runs one instruction on core c (1 IPC; multi-cycle operations stall
-// the core for their remaining latency).
-func (m *Machine) exec(c *Core) {
+// the core for their remaining latency). It reports whether the
+// instruction completed in a way that can open a run of local
+// instructions (see runLocal): an ALU op, branch, jmp or nop, a load or
+// store that was neither NACKed nor aborted, or a TXBEGIN. Lockstep
+// ignores the result.
+func (m *Machine) exec(c *Core) bool {
 	if uint(c.PC) >= uint(len(c.instrs)) {
 		panic(fmt.Sprintf("sim: core %d PC %d out of range in %q", c.ID, c.PC, c.Prog.Name))
 	}
@@ -21,23 +25,22 @@ func (m *Machine) exec(c *Core) {
 	case isa.Nop:
 		c.addCycle(CatBusy)
 		c.PC++
+		return true
 
 	case isa.Li, isa.Mov, isa.Add, isa.Addi, isa.Sub, isa.Rsubi, isa.Mul,
 		isa.Muli, isa.Div, isa.Rem, isa.And, isa.Andi, isa.Or, isa.Xor,
 		isa.Shli, isa.Shri, isa.AddF, isa.MulF:
-		if in.BusyLoopHead() && m.lazyAttr && m.busyLoop(c, in) {
-			return // the whole loop ran as one timed stall
-		}
 		c.addCycle(CatBusy)
 		if !m.execALU(c, in) {
-			return // aborted on constraint overflow; PC reset by abort
+			return false // aborted on constraint overflow; PC reset by abort
 		}
 		c.PC++
+		return true
 
 	case isa.Ld:
 		addr := c.Regs[in.Rs1] + in.Imm
 		if !m.pinAddressSym(c, in.Rs1) {
-			return
+			return false
 		}
 		val, sym, lat, st := m.load(c, addr, in.Size)
 		switch st {
@@ -55,12 +58,13 @@ func (m *Machine) exec(c *Core) {
 			c.setReg(in.Rd, val)
 			m.setRegSym(c, in.Rd, sym)
 			c.PC++
+			return true
 		}
 
 	case isa.St:
 		addr := c.Regs[in.Rs1] + in.Imm
 		if !m.pinAddressSym(c, in.Rs1) {
-			return
+			return false
 		}
 		var dataSym core.SymVal
 		if m.P.Mode == RetCon && c.Tx.Active {
@@ -79,17 +83,17 @@ func (m *Machine) exec(c *Core) {
 			c.addCycle(CatBusy)
 			c.setStall(m.Now+lat-1, CatBusy)
 			c.PC++
+			return true
 		}
 
 	case isa.Jmp:
 		c.addCycle(CatBusy)
 		c.PC = in.Target
+		return true
 
 	case isa.Beq, isa.Bne, isa.Blt, isa.Bge, isa.Ble, isa.Bgt:
 		c.addCycle(CatBusy)
-		if !m.execBranch(c, in) {
-			return // aborted on constraint overflow
-		}
+		return m.execBranch(c, in) // false: aborted on constraint overflow
 
 	case isa.TxBegin:
 		c.addCycle(CatBusy)
@@ -105,6 +109,7 @@ func (m *Machine) exec(c *Core) {
 			m.rec.Emit(telemetry.Event{Cycle: m.Now, Core: int32(c.ID), Kind: telemetry.KindBegin, Tx: c.Tx.TS, A: int64(c.PC)})
 		}
 		c.PC++
+		return true
 
 	case isa.TxCommit:
 		if !c.Tx.Active {
@@ -126,6 +131,7 @@ func (m *Machine) exec(c *Core) {
 	default:
 		panic(fmt.Sprintf("sim: core %d unknown opcode %v at pc %d", c.ID, in.Op, c.PC))
 	}
+	return false
 }
 
 // nacked stalls core c, whose load or store was NACKed this cycle, until

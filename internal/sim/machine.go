@@ -51,11 +51,11 @@ type Core struct {
 	nackBlock int64
 	parkedOn  int
 
-	// loopEnd is the last cycle of the busy loop the event loop ran in
-	// one step on this core (see busyLoop). While a cycle before it is
-	// observed, lockstep would still be inside the loop; unwindBusyLoop
-	// rebuilds that state and clears the field.
-	loopEnd int64
+	// runFrom and runTo bound the last run of local instructions the
+	// event loop ran ahead on this core (see runLocal): its instructions
+	// fall at cycles runFrom+1 through runTo. A remote abort that observes
+	// a cycle before runTo refunds the rest (refundRun).
+	runFrom, runTo int64
 
 	// nackWaitSince is the cycle the core's current pending access was
 	// first NACKed (0 when no NACK wait is in progress); the eventual
@@ -264,7 +264,7 @@ func (c *Core) resetFor(prog *isa.Program, specCap int, retCfg core.Config, p Pa
 	c.nackAt = 0
 	c.nackBlock = 0
 	c.parkedOn = -1
-	c.loopEnd = 0
+	c.runFrom, c.runTo = 0, 0
 	c.halted = false
 	c.barrierWait = false
 	c.stallUntil = 0
@@ -475,14 +475,14 @@ func (m *Machine) abort(c *Core, blameBlock int64, cause telemetry.Cause) {
 		// be reattributed), a larger one was not (its current cycle will fall
 		// under the conflict stall set below). A victim parked on a NACK
 		// is charged the retries lockstep ran up to that same point; one
-		// inside a fast-forwarded busy loop is refunded the instructions
+		// inside a run of local instructions is refunded the instructions
 		// lockstep had not run by then.
 		upTo := m.steppedThrough(c.ID)
 		if c.parkedOn >= 0 {
 			m.unpark(c, upTo)
 		}
 		m.settle(c, upTo)
-		m.unwindBusyLoop(c, upTo)
+		m.refundRun(c, upTo)
 	}
 	// wasted is the work this abort throws away — exactly the cycles the
 	// next lines reattribute to the conflict category.

@@ -105,8 +105,8 @@ func BenchmarkMachineReset(b *testing.B) {
 //
 // The static twin of this test is the hotpathalloc analyzer (run by
 // cmd/retcon-lint / make lint): the functions this budget exercises carry
-// //retcon:hotpath annotations — runEvent, wakeWaiters, settle
-// (sched.go), Step, stepCore, chargeCycles (machine.go), memAccess,
+// //retcon:hotpath annotations — runEvent, wakeWaiters, runLocal,
+// settle (sched.go), Step, stepCore, chargeCycles (machine.go), memAccess,
 // coherentRequest (memory.go), commit, commitRepair, finishCommit
 // (commit.go) and Predictor.Tracks/find (htm/predictor.go) — so an
 // allocation reintroduced into any of them is named at lint time, and

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/isa"
 )
 
@@ -120,15 +121,19 @@ func (lockstepSched) Run(m *Machine) error {
 // training) at its own cycle, so recorded waits retry as lockstep does.
 // A remote abort of a parked core unparks it first.
 //
-// A counted busy loop (isa.BusyLoop) is a timed wake as well. When a core
-// reaches the loop's addi with a concrete counter, busyLoop runs the whole
-// loop at once: it charges its instructions and stalls the core in
-// CatBusy through the loop's last cycle, so the loop costs one execution
-// and one wake instead of one visit per cycle. ALU ops and branches on
-// concrete registers emit no events, so this holds with a recorder
-// attached too. A remote abort and the watchdog can observe the core
-// mid-loop; each first rebuilds the state lockstep has at that point
-// (unwindBusyLoop).
+// A core's turn does not end at its one instruction. After an ALU op,
+// branch, jmp, nop, completed load or store, or TXBEGIN, the core keeps
+// executing in the same turn while its next instruction is local — one
+// that touches only its own registers and PC and emits no event — one
+// cycle each, and then stalls in CatBusy through the last of them
+// (runLocal). A counted busy loop is one O(1) step of such a run. So the
+// loop takes one turn per shared access rather than one per instruction.
+// Nothing another core does can read those registers, so no other core
+// can tell the instructions ran early. A run stops at MaxCycles and
+// after interruptWindow instructions, so the only observer of a core
+// inside a run is a remote abort, which restores the registers and PC
+// anyway and refunds the instructions lockstep had not yet run
+// (refundRun).
 //
 // Bookkeeping: every core has exactly one wake time, held in the
 // Machine.wakes array indexed by core ID (rewritten in place by mid-cycle
@@ -145,7 +150,8 @@ type eventSched struct{}
 
 // interruptWindow paces runEvent's cooperative-interrupt poll: it checks
 // the flag once whenever at least this many simulated cycles have passed
-// since the last check.
+// since the last check. It also caps the instructions one run interprets
+// in a turn (runLocal), so a register-only loop still reaches the poll.
 const interruptWindow = 1024
 
 // parked marks a core with no timed wake (halted, or waiting at a barrier
@@ -220,9 +226,6 @@ func (m *Machine) runEvent() error {
 			// The lockstep machine would idle up to the bound and expire
 			// there; report the identical failure.
 			m.Now = m.P.MaxCycles
-			for _, c := range m.Cores {
-				m.unwindBusyLoop(c, m.Now)
-			}
 			return m.watchdogErr()
 		}
 		m.Now = next
@@ -260,7 +263,9 @@ func (m *Machine) runEvent() error {
 			m.settle(c, m.Now-1)
 			c.attributedUntil = m.Now
 			m.execID = id
-			m.exec(c)
+			if m.exec(c) {
+				m.runLocal(c)
+			}
 			due |= m.dueNow // waiters woken for this cycle, all above id
 			m.dueNow = 0
 			switch {
@@ -378,55 +383,116 @@ func (m *Machine) unpark(c *Core, upTo int64) {
 	c.parkedOn = -1
 }
 
-// busyLoop runs the counted delay loop whose addi (in) is at core c's PC
-// in one step. Lockstep runs its 2·max(v,1) instructions one per cycle,
-// for a counter v, each charged to CatBusy; none of them emits an event or
-// touches shared state. So busyLoop charges them all, leaves the counter
-// (min(v,1)−1) and the PC (past the bgt) where the loop ends, and stalls
-// the core in CatBusy through the loop's last cycle. settle and abort
-// reattribution then account the loop as they account a load latency.
+// runLocal continues core c's turn after exec completed an instruction
+// that opens a run: while c's next instruction is local, c executes it in
+// this same turn, one cycle each, starting the cycle after the opening
+// instruction completes. A local instruction touches only c's registers
+// and PC and emits no event: any ALU op, branch, jmp or nop, except that
+// inside a RetCon transaction an ALU op qualifies only if it pins no
+// symbolic input (its inputs are concrete, or it propagates its one
+// symbolic input) and a branch only if both operands are concrete, since
+// a pin or a branch constraint can overflow, abort or emit. A counted
+// busy loop (isa.BusyLoop) with a concrete counter is one O(1) step of
+// the run (foldBusyLoop).
 //
-// It declines, and the addi executes normally, when the counter is
-// symbolic (RETCON's bgt would then record a constraint per iteration) or
-// so large that the wake time would overflow.
-func (m *Machine) busyLoop(c *Core, in *isa.Instr) bool {
-	v := c.Regs[in.Rd]
-	if m.P.Mode == RetCon && c.Tx.Active && c.Ret.Regs[in.Rd].Valid || v >= (neverWakes-m.Now)/2 {
-		return false
+// The run's instructions are charged at once and the core stalls in
+// CatBusy through the run's last cycle, so settle and abort
+// reattribution account them as they account a load latency. A run never
+// executes past MaxCycles, so watchdog expiry finds every core where
+// lockstep leaves it, and it interprets at most interruptWindow
+// instructions, so an endless register-only loop still returns to the
+// loop's interrupt poll. A remote abort is then the only observer of a
+// core inside a run; it restores registers and PC anyway and takes back
+// the instructions lockstep had not run yet (refundRun).
+//
+//retcon:hotpath runs after every turn that can open a run; see TestAllocsPerCycleRegression
+func (m *Machine) runLocal(c *Core) {
+	from := max(c.stallUntil, m.Now) // the cycle before the run's first instruction
+	t := from
+	sym := m.P.Mode == RetCon && c.Tx.Active
+	regs := &c.Ret.Regs
+	end := m.P.MaxCycles
+run:
+	for steps := 0; t < end && steps < interruptWindow && uint(c.PC) < uint(len(c.instrs)); steps++ {
+		in := &c.instrs[c.PC]
+		switch op := in.Op; {
+		case op == isa.Nop:
+			c.PC++
+		case op == isa.Jmp:
+			c.PC = in.Target
+		case op.IsBranch():
+			if sym && (regs[in.Rs1].Valid || regs[in.Rs2].Valid) {
+				break run
+			}
+			m.execBranch(c, in)
+		case op >= isa.Li && op <= isa.MulF:
+			if in.BusyLoopHead() && !(sym && regs[in.Rd].Valid) && c.Regs[in.Rd] != math.MinInt64 {
+				t += foldBusyLoop(c, in, end-t)
+				continue
+			}
+			if sym && !propagatesLocally(regs, in) {
+				break run
+			}
+			m.execALU(c, in)
+			c.PC++
+		default:
+			break run
+		}
+		t++
 	}
-	n := 2 * max(v, 1)
-	c.Stats.Instrs += n - 1 // exec counted the addi
-	m.schedStats.BusySkipped += n - 1
-	c.Regs[in.Rd] = min(v, 1) - 1
-	c.PC += 2
-	c.addCycle(CatBusy)
-	c.setStall(m.Now+n-1, CatBusy)
-	c.loopEnd = c.stallUntil
-	return true
+	if n := t - from; n > 0 {
+		c.Stats.Instrs += n
+		m.schedStats.RunInstrs += n
+		c.setStall(t, CatBusy)
+		c.runFrom, c.runTo = from, t
+	}
 }
 
-// unwindBusyLoop puts core c, if the cycles through upTo leave it inside
-// a loop busyLoop ran in one step, into the state lockstep has after
-// stepping it through upTo. The rem = loopEnd−upTo instructions lockstep
-// has not run yet are refunded; the counter is owed the ⌊rem/2⌋
-// decrements still ahead of it; the PC is the addi when rem is even and
-// the bgt when it is odd; and the stall ends at upTo, so the next cycle
-// executes the loop's next instruction. Two places observe a core
-// mid-loop and call it: a remote abort (which then rolls the registers
-// and PC back anyway, but keeps the instruction count) and watchdog
-// expiry (WatchdogError.PCs).
-func (m *Machine) unwindBusyLoop(c *Core, upTo int64) {
-	rem := c.loopEnd - upTo
-	c.loopEnd = 0
-	if rem <= 0 {
-		return
+// propagatesLocally reports whether ALU op in, inside a RetCon
+// transaction, leaves every symbolic input unpinned (see propagateSym):
+// mov, addi and rsubi always do, add and sub unless both inputs are
+// symbolic, every other op only on concrete inputs.
+func propagatesLocally(regs *[isa.NumRegs]core.SymVal, in *isa.Instr) bool {
+	switch s1, s2 := regs[in.Rs1].Valid, regs[in.Rs2].Valid; in.Op {
+	case isa.Mov, isa.Addi, isa.Rsubi:
+		return true
+	case isa.Add, isa.Sub:
+		return !s1 || !s2
+	default:
+		return !s1 && !s2
 	}
-	head := c.PC - 2
-	c.Stats.Instrs -= rem
-	m.schedStats.BusySkipped -= rem
-	c.Regs[c.instrs[head].Rd] += rem / 2
-	c.PC = head + int(rem&1)
-	c.stallUntil = upTo
+}
+
+// foldBusyLoop runs the counted busy loop whose addi (in) is at core c's
+// PC, or its first room instructions when the whole loop would not fit,
+// and returns the number of instructions it ran. Lockstep runs the loop's
+// 2·max(v,1) instructions one per cycle, for a counter v: after j of them
+// the addi has run ⌈j/2⌉ times, and the PC is the bgt when j is odd, the
+// addi when j is even, and past the bgt once the loop ends. The caller
+// excludes v = MinInt64, whose first decrement wraps.
+func foldBusyLoop(c *Core, in *isa.Instr, room int64) int64 {
+	v := c.Regs[in.Rd]
+	j := room
+	if half := max(v, 1); half <= room/2 {
+		j = 2 * half // the whole loop fits
+		c.PC += 2
+	} else {
+		c.PC += int(j & 1)
+	}
+	c.Regs[in.Rd] = v - (j+1)/2
+	return j
+}
+
+// refundRun takes back, from core c's last run, the instructions after
+// cycle upTo, which lockstep has not executed yet when a remote abort
+// observes c there: those charged after max(upTo, the cycle before the
+// run's first instruction). A run that ended by upTo owes nothing.
+func (m *Machine) refundRun(c *Core, upTo int64) {
+	if n := c.runTo - max(upTo, c.runFrom); n > 0 {
+		c.Stats.Instrs -= n
+		m.schedStats.RunInstrs -= n
+	}
+	c.runTo = 0
 }
 
 // Timing-wheel geometry: one slot per cycle over a horizon that covers

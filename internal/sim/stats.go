@@ -104,8 +104,8 @@ type MetricsAgg struct {
 }
 
 // SchedStats counts the event scheduler's work: the simulated cycles its
-// loop covered and the NACKed retries and busy-loop instructions it
-// charged in bulk instead of executing. It lives on the Machine, not the
+// loop covered and the NACKed retries and local instructions it charged
+// without a turn of their own. It lives on the Machine, not the
 // Result: it is a property of the scheduler, and Results are
 // scheduler-invariant by contract. Under the lockstep scheduler it is all
 // zeros.
@@ -125,11 +125,12 @@ type SchedStats struct {
 	// Nacks like every executed retry, and in LazyVB and RetCon in the
 	// predictor's conflict counts.
 	ParkedRetries int64
-	// BusySkipped counts the busy-loop instructions charged in bulk by
-	// running each loop as one timed stall instead of executed, net of
-	// the ones refunded when a loop was unwound mid-way. They are in
-	// CoreStats.Instrs like every executed instruction.
-	BusySkipped int64
+	// RunInstrs counts the instructions charged inside runs of local
+	// instructions (see runLocal) without a turn of their own, busy-loop
+	// and register-only instructions alike, net of the ones a remote
+	// abort refunded. They are in CoreStats.Instrs like every executed
+	// instruction.
+	RunInstrs int64
 }
 
 // SchedStats returns the scheduler-occupancy counters for the last Run.
