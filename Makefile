@@ -43,7 +43,7 @@
 #                    committed golden trace byte for byte across both
 #                    schedulers and 1/8 sweep workers, a panicked run
 #                    must leave a clean partial trace, the
-#                    retcon-trace analyzer must parse both wire formats,
+#                    retcon-trace analyzer must parse recorded traces,
 #                    and retcon-sim -trace-out - must pipe into
 #                    retcon-trace summary - (stats on stderr)
 
@@ -109,7 +109,7 @@ chaos-smoke: build
 # Observability smoke: the golden trace-determinism test (lockstep vs
 # event vs sweep workers 1/8, byte-identical and equal to the committed
 # testdata golden), the chaos partial-trace truncation case, the
-# retcon-trace analyzer's own tests over both wire formats, and the
+# retcon-trace analyzer's own tests over recorded JSONL traces, and the
 # stdout pipe from retcon-sim into retcon-trace (the grep fails the
 # target unless the summary decoded the stream's commit events).
 # Regenerate the golden after an intentional schema change with

@@ -26,7 +26,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	retcon "repro"
 	"repro/internal/sim"
@@ -43,7 +42,7 @@ func main() {
 	list := flag.Bool("list", false, "list available workloads and exit")
 	listWorkloads := flag.Bool("list-workloads", false, "list registry names and descriptions (including spec-registered entries) and exit")
 	speedup := flag.Bool("speedup", true, "also run the 1-core sequential baseline")
-	traceOut := flag.String("trace-out", "", "record the structured event trace to this file ('-' = stdout; a .bin suffix selects the compact binary format, otherwise JSONL)")
+	traceOut := flag.String("trace-out", "", "record the structured event trace to this file as JSONL ('-' = stdout)")
 	metrics := flag.Bool("metrics", false, "print the metric registry snapshot (abort causes, latency histograms, scheduler occupancy)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the simulation to this file")
@@ -111,13 +110,7 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		var sink telemetry.Sink
-		if strings.HasSuffix(*traceOut, ".bin") {
-			sink = telemetry.NewBinarySink(tf)
-		} else {
-			sink = telemetry.NewJSONLSink(tf)
-		}
-		rec := telemetry.NewRecorder(sink, 0)
+		rec := telemetry.NewRecorder(telemetry.NewJSONLSink(tf), 0)
 		res, err = retcon.RunRecorded(w, cfg, *seed, rec)
 		if err == nil {
 			err = rec.Err()

@@ -1,7 +1,7 @@
-// Command retcon-trace analyzes structured event traces recorded by
-// retcon-sim -trace-out (or any telemetry.Recorder sink). Both wire
-// formats — JSONL and compact binary — are accepted and sniffed
-// automatically.
+// Command retcon-trace analyzes the JSONL event traces recorded by
+// retcon-sim -trace-out (or any telemetry.JSONLSink). A NACK wait is one
+// event; every NACK tally sums the waits' NACK counts, so it matches the
+// run's NACK total.
 //
 // Usage:
 //
@@ -9,7 +9,7 @@
 //	retcon-trace summary -counterfactual run.jsonl  # what each abort could have been
 //	retcon-trace timeline -buckets 40 run.jsonl     # bucketed contention timeline
 //	retcon-trace timeline -block 0x1a8 run.jsonl    # one block's contention history
-//	retcon-trace diff a.jsonl b.bin                 # exit 1 when the traces differ
+//	retcon-trace diff a.jsonl b.jsonl               # exit 1 when the traces differ
 //
 // diff is the scheduler-equivalence check in CLI form: two traces of
 // the same (workload, seed, cores) must be event-identical no matter
@@ -65,7 +65,7 @@ func usage() {
   retcon-trace diff <trace-a> <trace-b>`)
 }
 
-// load reads one trace file ('-' = stdin) in either wire format.
+// load reads one trace file ('-' = stdin).
 func load(path string) ([]telemetry.Event, error) {
 	var r io.Reader = os.Stdin
 	if path != "-" {
@@ -131,10 +131,14 @@ func cmdSummary(args []string, w io.Writer) error {
 	var causes [telemetry.NumCauses]int64
 	coreMax := int32(-1)
 	for i := range evs {
-		kinds[evs[i].Kind]++
-		if evs[i].Kind == telemetry.KindAbort {
+		n := int64(1)
+		switch evs[i].Kind {
+		case telemetry.KindNack:
+			n = evs[i].C // a NACK wait counts its NACKs
+		case telemetry.KindAbort:
 			causes[evs[i].Cause]++
 		}
+		kinds[evs[i].Kind] += n
 		if evs[i].Core > coreMax {
 			coreMax = evs[i].Core
 		}
@@ -187,7 +191,7 @@ func writeCoreTable(w io.Writer, evs []telemetry.Event, coreMax int32) {
 		case telemetry.KindAbort:
 			r.aborts++
 		case telemetry.KindNack:
-			r.nacks++
+			r.nacks += evs[i].C
 		case telemetry.KindRepair:
 			r.repairs++
 		}
@@ -213,7 +217,7 @@ func collectBlocks(evs []telemetry.Event) map[int64]*blockStats {
 		e := &evs[i]
 		switch e.Kind {
 		case telemetry.KindNack:
-			get(e.Block).nacks++
+			get(e.Block).nacks += e.C
 		case telemetry.KindAbort:
 			if e.Block >= 0 {
 				get(e.Block).blames++
@@ -362,7 +366,7 @@ func cmdTimeline(args []string, w io.Writer) error {
 		case telemetry.KindAbort:
 			bs[b].aborts++
 		case telemetry.KindNack:
-			bs[b].nacks++
+			bs[b].nacks += filtered[i].C
 		case telemetry.KindRepair:
 			bs[b].repairs++
 		}

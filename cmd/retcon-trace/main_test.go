@@ -12,8 +12,8 @@ import (
 )
 
 // record runs counter/RetCon on four cores under the given scheduler
-// and writes the event trace to dir in the requested wire format.
-func record(t *testing.T, dir, name string, sched retcon.SchedKind, seed int64, binary bool) (string, *retcon.Result) {
+// and writes the event trace to dir.
+func record(t *testing.T, dir, name string, sched retcon.SchedKind, seed int64) (string, *retcon.Result) {
 	t.Helper()
 	cfg := retcon.DefaultConfig()
 	cfg.Cores = 4
@@ -28,11 +28,7 @@ func record(t *testing.T, dir, name string, sched retcon.SchedKind, seed int64, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sink telemetry.Sink = telemetry.NewJSONLSink(f)
-	if binary {
-		sink = telemetry.NewBinarySink(f)
-	}
-	rec := telemetry.NewRecorder(sink, 0)
+	rec := telemetry.NewRecorder(telemetry.NewJSONLSink(f), 0)
 	res, err := retcon.RunRecorded(w, cfg, seed, rec)
 	if err != nil {
 		t.Fatal(err)
@@ -46,10 +42,10 @@ func record(t *testing.T, dir, name string, sched retcon.SchedKind, seed int64, 
 	return path, res
 }
 
-func TestDiffAcceptsBothFormatsAndSchedulers(t *testing.T) {
+func TestDiffAcceptsBothSchedulers(t *testing.T) {
 	dir := t.TempDir()
-	a, _ := record(t, dir, "event.jsonl", retcon.SchedEvent, 1, false)
-	b, _ := record(t, dir, "lockstep.bin", retcon.SchedLockstep, 1, true)
+	a, _ := record(t, dir, "event.jsonl", retcon.SchedEvent, 1)
+	b, _ := record(t, dir, "lockstep.jsonl", retcon.SchedLockstep, 1)
 	var out strings.Builder
 	differs, err := cmdDiff([]string{a, b}, &out)
 	if err != nil {
@@ -65,7 +61,7 @@ func TestDiffAcceptsBothFormatsAndSchedulers(t *testing.T) {
 
 func TestDiffDetectsDivergence(t *testing.T) {
 	dir := t.TempDir()
-	a, _ := record(t, dir, "a.jsonl", retcon.SchedEvent, 1, false)
+	a, _ := record(t, dir, "a.jsonl", retcon.SchedEvent, 1)
 	f, err := os.Open(a)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +125,7 @@ func TestDiffDetectsDivergence(t *testing.T) {
 
 func TestSummaryMatchesResultTotals(t *testing.T) {
 	dir := t.TempDir()
-	path, res := record(t, dir, "run.jsonl", retcon.SchedEvent, 1, false)
+	path, res := record(t, dir, "run.jsonl", retcon.SchedEvent, 1)
 	var out strings.Builder
 	if err := cmdSummary([]string{"-counterfactual", path}, &out); err != nil {
 		t.Fatal(err)
@@ -150,7 +146,7 @@ func TestSummaryMatchesResultTotals(t *testing.T) {
 
 func TestTimelineRuns(t *testing.T) {
 	dir := t.TempDir()
-	path, _ := record(t, dir, "run.bin", retcon.SchedEvent, 1, true)
+	path, _ := record(t, dir, "run.jsonl", retcon.SchedEvent, 1)
 	var out strings.Builder
 	if err := cmdTimeline([]string{"-buckets", "8", path}, &out); err != nil {
 		t.Fatal(err)

@@ -1,4 +1,4 @@
-// Command retcon-wload validates, describes, compiles and runs
+// Command retcon-wload validates, describes, compiles and smoke-tests
 // declarative workload-spec files (internal/wspec).
 //
 // Usage:
@@ -6,14 +6,14 @@
 //	retcon-wload validate examples/workloads/zipf-hotset.json
 //	retcon-wload describe examples/workloads/prodcons-queue.json
 //	retcon-wload compile  examples/workloads/aux-counter.json      # ISA dump
-//	retcon-wload run      examples/workloads/zipf-hotset.json -mode retcon -cores 16
-//	retcon-wload run      examples/workloads/zipf-hotset.json -set zipf_s=1.2
 //	retcon-wload smoke    examples/workloads                       # validate+run every spec
 //
-// run executes the compiled workload under one mode and verifies its
-// declared final-state oracle; smoke runs every spec in a directory
-// under all three conflict-handling modes — the CI gate for the preset
-// library.
+// smoke runs every spec in a directory under all three
+// conflict-handling modes, verifying each declared final-state oracle —
+// the CI gate for the preset library. To run one spec, with parameter
+// overrides, use retcon-sim with a spec: reference:
+//
+//	retcon-sim -workload 'spec:examples/workloads/zipf-hotset.json?zipf_s=1.2' -mode retcon -cores 16
 package main
 
 import (
@@ -22,46 +22,20 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	retcon "repro"
-	"repro/internal/sim"
-	"repro/internal/sweep"
-	"repro/internal/telemetry"
 	"repro/internal/wspec"
 )
 
-// setFlags collects repeated -set knob=value overrides.
-type setFlags map[string]float64
-
-func (s setFlags) String() string { return "" }
-
-func (s setFlags) Set(kv string) error {
-	eq := strings.IndexByte(kv, '=')
-	if eq <= 0 {
-		return fmt.Errorf("want knob=value, got %q", kv)
-	}
-	v, err := strconv.ParseFloat(kv[eq+1:], 64)
-	if err != nil {
-		return err
-	}
-	s[kv[:eq]] = v
-	return nil
-}
-
 func main() {
-	overrides := setFlags{}
 	fs := flag.NewFlagSet("retcon-wload", flag.ExitOnError)
-	modeStr := fs.String("mode", "retcon", "conflict handling for run: eager, lazy-vb or retcon")
-	schedStr := fs.String("sched", "event", "cycle-loop scheduler: event or lockstep")
 	cores := fs.Int("cores", 8, "number of simulated cores")
 	seed := fs.Int64("seed", 1, "workload input seed")
-	speedup := fs.Bool("speedup", false, "also run the 1-core sequential baseline")
-	fs.Var(overrides, "set", "parameter override knob=value (repeatable)")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: retcon-wload <validate|describe|compile|run|smoke> <spec.json|dir> [flags]\n")
+		fmt.Fprintf(os.Stderr, "usage: retcon-wload <validate|describe|compile|smoke> <spec.json|dir> [flags]\n")
+		fmt.Fprintf(os.Stderr, "to run one spec: retcon-sim -workload 'spec:examples/workloads/zipf-hotset.json?zipf_s=1.2' -mode retcon -cores 16\n")
 		fs.PrintDefaults()
 	}
 
@@ -85,7 +59,7 @@ func main() {
 			fail(err)
 		}
 		return
-	case "validate", "describe", "compile", "run":
+	case "validate", "describe", "compile":
 	default:
 		fs.Usage()
 		os.Exit(2)
@@ -95,7 +69,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	w, err := spec.Compile("", overrides)
+	w, err := spec.Compile("", nil)
 	if err != nil {
 		fail(err)
 	}
@@ -112,46 +86,6 @@ func main() {
 			for i, in := range p.Instrs {
 				fmt.Printf("  %4d  %s\n", i, in)
 			}
-		}
-	case "run":
-		mode, err := sweep.ParseMode(*modeStr)
-		if err != nil {
-			fail(err)
-		}
-		sched, err := retcon.ParseSched(*schedStr)
-		if err != nil {
-			fail(err)
-		}
-		cfg := retcon.DefaultConfig()
-		cfg.Cores = *cores
-		cfg.Mode = mode
-		cfg.Sched = sched
-		start := time.Now()
-		res, err := retcon.RunSeeded(w, cfg, *seed)
-		if err != nil {
-			fail(err)
-		}
-		tot := res.Sim.Totals()
-		bd := res.Sim.Breakdown()
-		fmt.Printf("workload  %s (%s)\n", w.Name(), w.Description())
-		fmt.Printf("machine   %d cores, mode %v, sched %v\n", *cores, mode, sched)
-		fmt.Printf("cycles    %d   (wall %s)\n", res.Cycles, time.Since(start).Round(time.Millisecond))
-		fmt.Printf("instrs    %d\n", tot.Instrs)
-		fmt.Printf("commits   %d   aborts %d   nacks %d   overflows %d\n",
-			tot.Commits, tot.Aborts, tot.Nacks, res.Sim.Metrics.AbortCause[telemetry.CauseSpecOverflow])
-		fmt.Printf("breakdown busy %.1f%%  barrier %.1f%%  conflict %.1f%%  other %.1f%%\n",
-			100*bd[sim.CatBusy], 100*bd[sim.CatBarrier], 100*bd[sim.CatConflict], 100*bd[sim.CatOther])
-		fmt.Printf("verify    ok (final-state oracle passed)\n")
-		if *speedup {
-			seqCfg := cfg
-			seqCfg.Cores = 1
-			seqCfg.Mode = retcon.ModeEager
-			seq, err := retcon.RunSeeded(w, seqCfg, *seed)
-			if err != nil {
-				fail(fmt.Errorf("sequential baseline: %w", err))
-			}
-			fmt.Printf("speedup   %.2fx over sequential (%d cycles)\n",
-				float64(seq.Cycles)/float64(res.Cycles), seq.Cycles)
 		}
 	}
 }

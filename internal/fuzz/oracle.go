@@ -94,6 +94,9 @@ type checker struct {
 
 	// One event log per scheduler, reused across the three modes.
 	lockTrace, evTrace *eventLog
+	// parked sums the event runs' SchedStats.ParkedRetries: whether the
+	// differential reached the parked-NACK path.
+	parked int64
 }
 
 type runOut struct {
@@ -208,6 +211,9 @@ func (c *checker) runSched(mode sim.Mode, kind sim.SchedKind, trace *eventLog) *
 		})
 	}
 	res, err := m.Run()
+	if kind == sim.SchedEvent {
+		c.parked += m.SchedStats().ParkedRetries
+	}
 	return &runOut{res: res, trace: trace.evs, img: img, err: err}
 }
 

@@ -441,12 +441,10 @@ func TestSchedulerBusyLoopEdges(t *testing.T) {
 					probe = &probeSched{core: row.watchCore, head: busyLoopHead(t, progs[row.watchCore]),
 						at: row.watch(), offsets: seen}
 				}
-				lock := runBusyRow(t, p, SchedLockstep, probe, true, nil, build)
-				for _, record := range []bool{true, false} {
-					ev := runBusyRow(t, p, SchedEvent, nil, record, row.prior, build)
-					lock.compare(t, ev, record)
-					sched.RunInstrs += ev.sched.RunInstrs
-				}
+				lock := runBusyRow(t, p, SchedLockstep, probe, nil, build)
+				ev := runBusyRow(t, p, SchedEvent, nil, row.prior, build)
+				lock.compare(t, ev)
+				sched.RunInstrs += ev.sched.RunInstrs
 				if row.wantErr != (lock.err != nil) {
 					t.Fatalf("pad=%d: lockstep error %v, want error: %v", pad, lock.err, row.wantErr)
 				}
@@ -493,10 +491,10 @@ type busyRowRun struct {
 }
 
 // runBusyRow runs one machine under kind (or under probe, a lockstep
-// observer, when it is non-nil), recording its events when record is set.
-// With prior set, the machine first runs prior until its first commit
-// interrupts it, and is then Reset for the run.
-func runBusyRow(t *testing.T, p Params, kind SchedKind, probe *probeSched, record bool,
+// observer, when it is non-nil), recording its events. With prior set,
+// the machine first runs prior until its first commit interrupts it, and
+// is then Reset for the run.
+func runBusyRow(t *testing.T, p Params, kind SchedKind, probe *probeSched,
 	prior, build func() (*mem.Image, []*isa.Program)) *busyRowRun {
 	t.Helper()
 	p.Sched = kind
@@ -512,20 +510,15 @@ func runBusyRow(t *testing.T, p Params, kind SchedKind, probe *probeSched, recor
 		m.SetScheduler(probe)
 	}
 	out := &busyRowRun{name: kind.String(), img: img}
-	if record {
-		m.Record(telemetry.NewRecorder(&out.trace, 0))
-	} else {
-		out.name += "-unrecorded"
-	}
+	m.Record(telemetry.NewRecorder(&out.trace, 0))
 	out.res, out.err = m.Run()
 	out.sched = m.SchedStats()
 	return out
 }
 
 // compare requires run ev to match lockstep's run l: the same Result or
-// the same error, the same final image and, when ev recorded, the same
-// events.
-func (l *busyRowRun) compare(t *testing.T, ev *busyRowRun, traced bool) {
+// the same error, the same final image and the same events.
+func (l *busyRowRun) compare(t *testing.T, ev *busyRowRun) {
 	t.Helper()
 	if !reflect.DeepEqual(l.err, ev.err) {
 		t.Errorf("errors diverge:\nlockstep: %v\n%s: %v", l.err, ev.name, ev.err)
@@ -537,7 +530,7 @@ func (l *busyRowRun) compare(t *testing.T, ev *busyRowRun, traced bool) {
 		w := l.img.DiffWord(ev.img)
 		t.Errorf("final memory diverges at %#x: lockstep %d, %s %d", w, l.img.Read64(w), ev.name, ev.img.Read64(w))
 	}
-	if traced && !reflect.DeepEqual(l.trace, ev.trace) {
+	if !reflect.DeepEqual(l.trace, ev.trace) {
 		t.Errorf("traces diverge: lockstep %d events, %s %d", len(l.trace), ev.name, len(ev.trace))
 	}
 }

@@ -50,8 +50,7 @@ func (m *Machine) exec(c *Core) bool {
 			// PC and stall already set by abort.
 		default:
 			if c.nackWaitSince != 0 {
-				m.metrics.NackWait.Observe(m.Now - c.nackWaitSince)
-				c.nackWaitSince = 0
+				m.endNackWait(c, true)
 			}
 			c.addCycle(CatBusy)
 			c.setStall(m.Now+lat-1, CatBusy)
@@ -77,8 +76,7 @@ func (m *Machine) exec(c *Core) bool {
 		case accessAbort:
 		default:
 			if c.nackWaitSince != 0 {
-				m.metrics.NackWait.Observe(m.Now - c.nackWaitSince)
-				c.nackWaitSince = 0
+				m.endNackWait(c, true)
 			}
 			c.addCycle(CatBusy)
 			c.setStall(m.Now+lat-1, CatBusy)
@@ -139,10 +137,28 @@ func (m *Machine) exec(c *Core) bool {
 func (m *Machine) nacked(c *Core) {
 	if c.nackWaitSince == 0 {
 		c.nackWaitSince = m.Now
+		c.waitHolder = m.nackHolder
 	}
 	c.nackAt = m.Now
 	c.addCycle(CatConflict)
 	c.setStall(m.Now+m.P.NackRetry-1, CatConflict)
+}
+
+// endNackWait ends core c's NACK wait at the current cycle: its access
+// completed, which observes the wait into the NackWait histogram, or its
+// attempt aborts. A recorder logs the whole wait as one KindNack event
+// here, so both schedulers emit it at the same cycle whether the event
+// loop parked c or not.
+func (m *Machine) endNackWait(c *Core, completed bool) {
+	if completed {
+		m.metrics.NackWait.Observe(m.Now - c.nackWaitSince)
+	}
+	if m.rec != nil {
+		m.rec.Emit(telemetry.Event{Cycle: m.Now, Core: int32(c.ID), Kind: telemetry.KindNack,
+			Block: c.nackBlock, A: int64(c.waitHolder), B: c.nackWaitSince, C: c.waitNacks})
+	}
+	c.nackWaitSince = 0
+	c.waitNacks = 0
 }
 
 // setReg writes a register, discarding writes to the zero register.

@@ -58,10 +58,13 @@ type Core struct {
 	runFrom, runTo int64
 
 	// nackWaitSince is the cycle the core's current pending access was
-	// first NACKed (0 when no NACK wait is in progress); the eventual
-	// success observes the total wait into the NackWait histogram, an
-	// abort discards it.
+	// first NACKed (0 when no NACK wait is in progress), waitHolder the
+	// core whose transaction vetoed that first NACK, and waitNacks the
+	// NACKs of the wait so far, executed or charged in bulk. The wait ends
+	// when the access completes or its attempt aborts (endNackWait).
 	nackWaitSince int64
+	waitHolder    int
+	waitNacks     int64
 
 	Stats  CoreStats
 	RetAgg RetconAgg
@@ -261,6 +264,8 @@ func (c *Core) resetFor(prog *isa.Program, specCap int, retCfg core.Config, p Pa
 	}
 	c.pendingTS = 0
 	c.nackWaitSince = 0
+	c.waitHolder = 0
+	c.waitNacks = 0
 	c.nackAt = 0
 	c.nackBlock = 0
 	c.parkedOn = -1
@@ -496,7 +501,9 @@ func (m *Machine) abort(c *Core, blameBlock int64, cause telemetry.Cause) {
 	c.PC = c.Tx.BeginPC
 	c.Tx.Aborts++
 	c.Stats.Aborts++
-	c.nackWaitSince = 0 // any NACK wait in progress dies with the attempt
+	if c.nackWaitSince != 0 {
+		m.endNackWait(c, false) // the NACK wait in progress dies with the attempt
+	}
 	m.wakeWaiters(c.ID)
 	m.metrics.AbortCause[cause]++
 	m.metrics.AbortWaste.Observe(wasted)
@@ -523,12 +530,13 @@ func (m *Machine) nextTS() int64 {
 	return m.tsCounter
 }
 
-// observeConflict trains the tracking predictor on a conflict. In eager
-// mode the predictor's decisions are never consulted (no load ever
-// initiates symbolic tracking), so training it there would be write-only
-// work on the NACK/abort hot path — skip it. Lazy-vb and RETCON train as
-// the paper describes. The NACKed retries the event loop skips while a
-// core is parked are trained in one bulk count instead (see unpark).
+// observeConflict trains the tracking predictor on a conflict that
+// aborts core c's transaction. In eager mode the predictor's decisions
+// are never consulted (no load ever initiates symbolic tracking), so
+// training it there would be write-only work on the abort hot path —
+// skip it. Lazy-vb and RETCON train as the paper describes. A NACK trains
+// the predictor without an event of its own: the wait's NACK event
+// carries the count (see coherentRequest and unpark).
 func (m *Machine) observeConflict(c *Core, block int64) {
 	if m.P.Mode != Eager {
 		c.Pred.ObserveConflict(block)

@@ -63,18 +63,21 @@ func (m *Machine) coherentRequest(c *Core, block int64, isWrite, allowNack bool)
 			continue
 		}
 		// Holder wins: requester is stalled (or aborted during pre-commit).
-		m.observeConflict(c, block)
-		if allowNack {
-			c.Stats.Nacks++
-			m.nackHolder = h
-			c.nackBlock = block
-			if m.rec != nil {
-				m.rec.Emit(telemetry.Event{Cycle: m.Now, Core: int32(c.ID), Kind: telemetry.KindNack, Block: block, A: int64(h)})
-			}
-			return 0, accessNack
+		if !allowNack {
+			m.observeConflict(c, block)
+			m.abort(c, block, telemetry.CauseConflict)
+			return 0, accessAbort
 		}
-		m.abort(c, block, telemetry.CauseConflict)
-		return 0, accessAbort
+		// The NACK's training is recorded as part of its wait's count
+		// (endNackWait), not as an event of its own.
+		if m.P.Mode != Eager {
+			c.Pred.ObserveConflict(block)
+		}
+		c.Stats.Nacks++
+		c.waitNacks++
+		m.nackHolder = h
+		c.nackBlock = block
+		return 0, accessNack
 	}
 
 	// Pass 2: apply. Losing holders abort; symbolic holders lose the block;
@@ -113,8 +116,8 @@ func (m *Machine) coherentRequest(c *Core, block int64, isWrite, allowNack bool)
 // Retrying a NACKed access leaves the caches as the retry found them: a
 // probe that misses touches no LRU state, and one that hits re-stamps a
 // line the previous attempt already left the MRU line of its L1 set. So
-// the event scheduler can skip the retries of an unrecorded NACK wait
-// (see unpark); recorded runs and lockstep execute each one here.
+// the event scheduler can skip the retries of a NACK wait (see unpark);
+// lockstep executes each one here.
 //
 //retcon:hotpath every load and store funnels through here
 func (m *Machine) memAccess(c *Core, block int64, isWrite, setSpec, allowNack bool) (int64, accessStatus) {

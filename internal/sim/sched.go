@@ -110,16 +110,16 @@ func (lockstepSched) Run(m *Machine) error {
 //
 // A NACK wait is a wake condition too. Lockstep retries a NACKed access
 // every NackRetry cycles, and each retry is an identical NACK until the
-// vetoing holder's transaction ends (see unpark for why). So with no
-// recorder attached, a NACKed core parks on the holder (Machine.waiters)
-// instead of retrying, in every mode, and the holder's commit or abort
-// wakes it at the retry slot where lockstep would first see the release
-// (wakeWaiters). The retries it skipped are charged in bulk, one
-// instruction and one NACK each, as settle charges skipped stall cycles;
-// in LazyVB and RetCon each also trains the predictor on the NACKed
-// block, charged as one bulk count. A recorder logs each NACK (and its
-// training) at its own cycle, so recorded waits retry as lockstep does.
-// A remote abort of a parked core unparks it first.
+// vetoing holder's transaction ends (see unpark for why). So a NACKed
+// core parks on the holder (Machine.waiters) instead of retrying, in
+// every mode, and the holder's commit or abort wakes it at the retry
+// slot where lockstep would first see the release (wakeWaiters). The
+// retries it skipped are charged in bulk, one instruction and one NACK
+// each, as settle charges skipped stall cycles; in LazyVB and RetCon each
+// also trains the predictor on the NACKed block, charged as one bulk
+// count. A recorder logs the whole wait as one event when it ends, which
+// both schedulers reach at the same cycle (endNackWait). A remote abort
+// of a parked core unparks it first.
 //
 // A core's turn does not end at its one instruction. After an ALU op,
 // branch, jmp, nop, completed load or store, or TXBEGIN, the core keeps
@@ -189,9 +189,6 @@ func (eventSched) Run(m *Machine) error {
 //
 //retcon:hotpath per-cycle event loop; see TestAllocsPerCycleRegression
 func (m *Machine) runEvent() error {
-	// NACKed cores park on the vetoing transaction unless a recorder
-	// would log each skipped retry (see the eventSched doc).
-	park := m.rec == nil
 	m.wq = wakeQueue{farMin: parked}
 	q := &m.wq
 	halted := 0
@@ -274,7 +271,7 @@ func (m *Machine) runEvent() error {
 				wakes[id] = parked
 			case c.barrierWait:
 				wakes[id] = parked // woken by the release rescheduling it
-			case park && c.nackAt == m.Now:
+			case c.nackAt == m.Now:
 				// NACKed: wait on the vetoing transaction instead of
 				// retrying; wakeWaiters reschedules the core when it ends.
 				c.parkedOn = m.nackHolder
@@ -342,12 +339,13 @@ func (m *Machine) steppedThrough(id int) int64 {
 	return m.Now - 1
 }
 
-// unpark ends core c's NACK wait: it charges the retries lockstep ran at
-// c's slots nackAt+k·NackRetry through cycle upTo and stalls c until the
-// next slot. Each charged retry is one instruction and one NACK, and in
-// LazyVB and RetCon one conflict observed on nackBlock, charged to the
-// predictor as one bulk count; its cycles are conflict cycles, which
-// settle charges with the rest of the stall.
+// unpark takes core c off the waiters of the holder it parked on. Its
+// NACK wait stays open, for its next retry or an abort to end: unpark
+// charges the retries lockstep ran at c's slots nackAt+k·NackRetry
+// through cycle upTo and stalls c until the next slot. Each charged retry is one instruction and one NACK of c's
+// wait, and in LazyVB and RetCon one conflict observed on nackBlock,
+// charged to the predictor as one bulk count; its cycles are conflict
+// cycles, which settle charges with the rest of the stall.
 //
 // Every skipped retry is an identical NACK, because the holder that
 // vetoed c keeps vetoing until its transaction ends: its spec bits only
@@ -372,6 +370,7 @@ func (m *Machine) unpark(c *Core, upTo int64) {
 	if k := (upTo - c.nackAt) / r; k > 0 {
 		c.Stats.Instrs += k
 		c.Stats.Nacks += k
+		c.waitNacks += k
 		c.nackAt += k * r
 		m.schedStats.ParkedRetries += k
 		if m.P.Mode != Eager {

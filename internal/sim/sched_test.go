@@ -11,20 +11,17 @@ import (
 	"repro/internal/telemetry"
 )
 
-// runBoth builds the machine three times via build() and runs it under
-// the lockstep oracle and the event-driven scheduler with a recorder
-// attached, then under the event scheduler with none — the only setting
-// in which it parks NACKed cores. It asserts identical Result structs
-// across all three, identical trace output across the recorded two and
-// an identical final memory word at probe (when probe >= 0). It returns
-// the recorded event-driven result.
+// runBoth builds the machine twice via build() and runs it under the
+// lockstep oracle and the event-driven scheduler, each with a recorder
+// attached. It asserts identical Result structs, identical trace output
+// and an identical final memory word at probe (when probe >= 0). It
+// returns the event-driven result.
 func runBoth(t *testing.T, p Params, probe int64, build func() (*mem.Image, []*isa.Program)) *Result {
 	t.Helper()
 	runs := []struct {
-		name   string
-		kind   SchedKind
-		record bool
-	}{{"lockstep", SchedLockstep, true}, {"event", SchedEvent, true}, {"event-unrecorded", SchedEvent, false}}
+		name string
+		kind SchedKind
+	}{{"lockstep", SchedLockstep}, {"event", SchedEvent}}
 	results := make([]*Result, len(runs))
 	traces := make([]string, len(runs))
 	mems := make([]int64, len(runs))
@@ -37,9 +34,7 @@ func runBoth(t *testing.T, p Params, probe int64, build func() (*mem.Image, []*i
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if r.record {
-			m.Record(telemetry.NewRecorder(telemetry.NewJSONLSink(&buf), 0))
-		}
+		m.Record(telemetry.NewRecorder(telemetry.NewJSONLSink(&buf), 0))
 		res, err := m.Run()
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
@@ -418,16 +413,18 @@ func spinLoop(b *isa.Builder, ctr isa.Reg, n int64, label string) {
 }
 
 // TestSchedulerParkedNackEdges drives the parked-NACK path of the event
-// scheduler (no recorder) through its edge cases in every mode and
-// requires lockstep's Result every time. The slot rows sweep a pad over
+// scheduler through its edge cases in every mode and requires lockstep's
+// Result and recorded trace every time. The slot rows sweep a pad over
 // two retry periods, so that in some run the event that ends the wait —
 // the holder's commit, or the remote abort of the waiter — falls exactly
 // on one of the waiter's retry slots, with the ending core's ID below and
-// above the waiter's; the recorded lockstep trace proves the slot was
-// hit. The predictor-flip row delays the waiter's load so that its wait
+// above the waiter's; the recorded trace proves the slot was hit. The predictor-flip row delays the waiter's load so that its wait
 // spans from none to 15 NACKs: with PromoteAfter 4, LazyVB and RetCon
 // promote the block while the waiter is parked in some runs, exactly at
 // its last NACK in one, and the load after the wake takes the Track path.
+// The scenario rows also check the wait events themselves: every wait of
+// the waiter names the scenario's holder, and in the abort rows some
+// abort of the waiter is logged right after the wait it ended.
 func TestSchedulerParkedNackEdges(t *testing.T) {
 	const none = -1
 	nackRetry := int(DefaultParams().NackRetry)
@@ -438,32 +435,34 @@ func TestSchedulerParkedNackEdges(t *testing.T) {
 		build func(pad int) func() (*mem.Image, []*isa.Program)
 		// slotKind and slotCore name the event that must fall on a retry
 		// slot of core waiter in some run (slotKind 0: no such check).
-		slotKind         telemetry.Kind
-		slotCore, waiter int
+		// Every NACK wait of the waiter must name holder (none: no such
+		// check).
+		slotKind                 telemetry.Kind
+		slotCore, waiter, holder int
 		// promoteAfter overrides Params.PromoteAfter when non-zero, and
 		// then the waiter must track a block in some LazyVB and RetCon run.
 		promoteAfter int
 	}{
 		{name: "commit-at-slot/holder-below", cores: 2, pads: 2 * nackRetry,
 			build:    func(pad int) func() (*mem.Image, []*isa.Program) { return parkScenario(2, 0, 1, none, 0, 0, pad) },
-			slotKind: telemetry.KindCommit, slotCore: 0, waiter: 1},
+			slotKind: telemetry.KindCommit, slotCore: 0, waiter: 1, holder: 0},
 		{name: "commit-at-slot/holder-above", cores: 2, pads: 2 * nackRetry,
 			build:    func(pad int) func() (*mem.Image, []*isa.Program) { return parkScenario(2, 1, 0, none, 0, 1, pad) },
-			slotKind: telemetry.KindCommit, slotCore: 1, waiter: 0},
+			slotKind: telemetry.KindCommit, slotCore: 1, waiter: 0, holder: 1},
 		{name: "abort-at-slot/aborter-below", cores: 3, pads: 2 * nackRetry,
 			build:    func(pad int) func() (*mem.Image, []*isa.Program) { return parkScenario(3, 1, 2, 0, 400, 0, pad) },
-			slotKind: telemetry.KindAbort, slotCore: 2, waiter: 2},
+			slotKind: telemetry.KindAbort, slotCore: 2, waiter: 2, holder: 1},
 		{name: "abort-at-slot/aborter-above", cores: 3, pads: 2 * nackRetry,
 			build:    func(pad int) func() (*mem.Image, []*isa.Program) { return parkScenario(3, 0, 1, 2, 400, 2, pad) },
-			slotKind: telemetry.KindAbort, slotCore: 1, waiter: 1},
+			slotKind: telemetry.KindAbort, slotCore: 1, waiter: 1, holder: 0},
 		{name: "predictor-flip", cores: 2, pads: 16 * nackRetry,
 			build:  func(pad int) func() (*mem.Image, []*isa.Program) { return parkScenario(2, 0, 1, none, 0, 1, pad) },
-			waiter: 1, promoteAfter: 4},
-		{name: "counter@32", cores: 32, pads: 1,
+			waiter: 1, holder: 0, promoteAfter: 4},
+		{name: "counter@32", cores: 32, pads: 1, holder: none,
 			build: func(int) func() (*mem.Image, []*isa.Program) {
 				return func() (*mem.Image, []*isa.Program) { img, _, progs := buildCounter(32, 3, 2, 10); return img, progs }
 			}},
-		{name: "counter@64", cores: 64, pads: 1,
+		{name: "counter@64", cores: 64, pads: 1, holder: none,
 			build: func(int) func() (*mem.Image, []*isa.Program) {
 				return func() (*mem.Image, []*isa.Program) { img, _, progs := buildCounter(64, 2, 2, 10); return img, progs }
 			}},
@@ -476,17 +475,26 @@ func TestSchedulerParkedNackEdges(t *testing.T) {
 						p.PromoteAfter = row.promoteAfter
 					}
 					var sched SchedStats
-					slotHit, tracked := false, false
+					slotHit, tracked, abortEnds := false, false, false
 					for pad := 0; pad < row.pads; pad++ {
 						build := row.build(pad)
-						var log eventLog
+						var log, evLog eventLog
 						lockstep, _ := runParkRow(t, p, SchedLockstep, &log, build)
-						event, st := runParkRow(t, p, SchedEvent, nil, build)
+						event, st := runParkRow(t, p, SchedEvent, &evLog, build)
 						if !reflect.DeepEqual(lockstep, event) {
 							t.Errorf("pad=%d: results diverge:\nlockstep: %+v\nevent:    %+v", pad, lockstep, event)
 						}
+						if !slices.Equal(log, evLog) {
+							t.Errorf("pad=%d: traces diverge (lockstep %d events, event %d)", pad, len(log), len(evLog))
+						}
+						for _, e := range log {
+							if e.Kind == telemetry.KindNack && int(e.Core) == row.waiter && row.holder != none && int(e.A) != row.holder {
+								t.Errorf("pad=%d: core %d's NACK wait names holder %d, want %d", pad, row.waiter, e.A, row.holder)
+							}
+						}
 						sched.ParkedRetries += st.ParkedRetries
 						slotHit = slotHit || endsAtSlot(log, row.slotKind, row.slotCore, row.waiter, int64(nackRetry))
+						abortEnds = abortEnds || abortEndsWait(log, row.waiter)
 						tracked = tracked || slices.ContainsFunc(log, func(e telemetry.Event) bool {
 							return e.Kind == telemetry.KindTrack && int(e.Core) == row.waiter
 						})
@@ -496,6 +504,9 @@ func TestSchedulerParkedNackEdges(t *testing.T) {
 					}
 					if row.slotKind != 0 && !slotHit {
 						t.Errorf("no run put the %v on a retry slot of core %d", row.slotKind, row.waiter)
+					}
+					if row.slotKind == telemetry.KindAbort && !abortEnds {
+						t.Errorf("no abort of core %d was logged after the NACK wait it ended", row.waiter)
 					}
 					if row.promoteAfter != 0 && mode != Eager && !tracked {
 						t.Errorf("core %d never tracked a block: its predictor did not flip", row.waiter)
@@ -507,7 +518,7 @@ func TestSchedulerParkedNackEdges(t *testing.T) {
 }
 
 // runParkRow runs one machine with params p under kind, recording into
-// log when it is non-nil, and returns its Result and scheduler counters.
+// log, and returns its Result and scheduler counters.
 func runParkRow(t *testing.T, p Params, kind SchedKind, log *eventLog, build func() (*mem.Image, []*isa.Program)) (*Result, SchedStats) {
 	t.Helper()
 	img, progs := build()
@@ -516,9 +527,7 @@ func runParkRow(t *testing.T, p Params, kind SchedKind, log *eventLog, build fun
 	if err != nil {
 		t.Fatal(err)
 	}
-	if log != nil {
-		m.Record(telemetry.NewRecorder(log, 0))
-	}
+	m.Record(telemetry.NewRecorder(log, 0))
 	res, err := m.Run()
 	if err != nil {
 		t.Fatalf("sched=%v: %v", kind, err)
@@ -526,18 +535,37 @@ func runParkRow(t *testing.T, p Params, kind SchedKind, log *eventLog, build fun
 	return res, m.SchedStats()
 }
 
-// endsAtSlot reports whether an event of kind on core at cycle t follows
-// a NACK of core waiter at t-nackRetry, i.e. lands on one of its retry
-// slots.
+// abortEndsWait reports whether an abort of core waiter follows, at its
+// own cycle, the event of a NACK wait of waiter: the wait it ended.
+func abortEndsWait(log eventLog, waiter int) bool {
+	for i, e := range log {
+		if e.Kind != telemetry.KindAbort || int(e.Core) != waiter {
+			continue
+		}
+		for j := i - 1; j >= 0 && log[j].Cycle == e.Cycle; j-- {
+			if log[j].Kind == telemetry.KindNack && int(log[j].Core) == waiter {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// endsAtSlot reports whether an event of kind on core lands on a retry
+// slot of one of core waiter's NACK waits: at B + k·nackRetry for some
+// k ≥ 1, through the cycle the wait ended, where B is the wait's first
+// NACK.
 func endsAtSlot(log eventLog, kind telemetry.Kind, core, waiter int, nackRetry int64) bool {
-	nacks := make(map[int64]bool)
-	for _, e := range log {
-		if e.Kind == telemetry.KindNack && int(e.Core) == waiter {
-			nacks[e.Cycle] = true
+	slots := make(map[int64]bool)
+	for _, w := range log {
+		if w.Kind == telemetry.KindNack && int(w.Core) == waiter {
+			for t := w.B + nackRetry; t <= w.Cycle; t += nackRetry {
+				slots[t] = true
+			}
 		}
 	}
 	for _, e := range log {
-		if e.Kind == kind && int(e.Core) == core && nacks[e.Cycle-nackRetry] {
+		if e.Kind == kind && int(e.Core) == core && slots[e.Cycle] {
 			return true
 		}
 	}

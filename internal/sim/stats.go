@@ -121,9 +121,9 @@ type SchedStats struct {
 	Handoffs    int64
 	// ParkedRetries counts the NACKed retries charged in bulk to cores
 	// parked on the vetoing transaction instead of executed, in every
-	// mode of a run with no recorder. They are in CoreStats.Instrs and
-	// Nacks like every executed retry, and in LazyVB and RetCon in the
-	// predictor's conflict counts.
+	// mode, recorded or not. They are in CoreStats.Instrs and Nacks like
+	// every executed retry, in their wait's recorded NACK count, and in
+	// LazyVB and RetCon in the predictor's conflict counts.
 	ParkedRetries int64
 	// RunInstrs counts the instructions charged inside runs of local
 	// instructions (see runLocal) without a turn of their own, busy-loop

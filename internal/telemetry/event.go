@@ -1,6 +1,6 @@
 // Package telemetry is the deterministic observability layer: a typed
 // event stream recorded by the simulator at every architectural
-// decision point (transaction begin/commit/abort, NACKs, value
+// decision point (transaction begin/commit/abort, NACK waits, value
 // repairs, predictor training), plus the counter/histogram registry
 // snapshotted into results.
 //
@@ -22,13 +22,13 @@ const (
 	KindBegin        // tx begin: Tx=timestamp, A=pc
 	KindCommit       // tx commit: Tx=timestamp, A=lifetime cycles
 	KindAbort        // tx abort: Cause set, A=attempt, Block=blamed block (-1 if none), B=restart pc, C=wasted cycles
-	KindNack         // access nacked: Block, A=holder core
+	KindNack         // NACK wait ended (access completed or attempt aborted): Block, A=holder core that vetoed its first NACK, B=first NACK cycle, C=NACKs in the wait
 	KindRelease      // symbolic release: Core=victim, Block, A=thief core
 	KindViolate      // constraint violated at commit: Block=word, A=root value, B=interval lo, C=interval hi
 	KindReject       // unfoldable constraint: A=opcode, Block=root word
 	KindRepair       // value repair at commit: A=blocks tracked, B=blocks lost, C=stores, D=constraint addrs, E=repair cycles
 	KindTrack        // value tracking begins on a block: Block, Tx=timestamp
-	KindTrain        // predictor trained: Block, A=+1 (conflict observed) or -1 (violation observed)
+	KindTrain        // predictor trained at an abort: Block, A=+1 (conflict observed) or -1 (violation observed); a NACK's training is counted in its wait's KindNack C
 	NumKinds
 )
 

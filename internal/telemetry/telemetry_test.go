@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,8 +12,8 @@ func sampleEvents() []Event {
 	return []Event{
 		{Cycle: 1, Core: 0, Kind: KindBegin, Tx: 1, A: 0},
 		{Cycle: 5, Core: 1, Kind: KindTrack, Tx: 2, Block: 0x40},
-		{Cycle: 9, Core: 1, Kind: KindNack, Block: 0x40, A: 0},
-		{Cycle: 12, Core: 1, Kind: KindTrain, Block: 0x40, A: 1},
+		{Cycle: 14, Core: 1, Kind: KindNack, Block: 0x40, A: 0, B: 9, C: 1},
+		{Cycle: 14, Core: 1, Kind: KindTrain, Block: 0x40, A: 1},
 		{Cycle: 14, Core: 1, Kind: KindAbort, Cause: CauseConflict, A: 1, Block: 0x40, B: 3, C: 13},
 		{Cycle: 20, Core: 0, Kind: KindViolate, Block: 0x48, A: -7, B: -10, C: 10},
 		{Cycle: 31, Core: 0, Kind: KindRepair, A: 4, B: 1, C: 6, D: 2, E: 12},
@@ -42,33 +43,25 @@ func TestKindCauseNames(t *testing.T) {
 }
 
 func TestWireRoundTrip(t *testing.T) {
-	evs := sampleEvents()
-	for _, tc := range []struct {
-		name string
-		sink func(*bytes.Buffer) Sink
-	}{
-		{"jsonl", func(b *bytes.Buffer) Sink { return NewJSONLSink(b) }},
-		{"binary", func(b *bytes.Buffer) Sink { return NewBinarySink(b) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			rec := NewRecorder(tc.sink(&buf), 3) // smaller than len(evs): exercises mid-stream flushes
-			for _, e := range evs {
-				rec.Emit(e)
-			}
-			rec.Flush()
-			if err := rec.Err(); err != nil {
-				t.Fatal(err)
-			}
-			got, err := ReadEvents(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, evs) {
-				t.Fatalf("round trip mismatch:\ngot  %+v\nwant %+v", got, evs)
-			}
-		})
-	}
+	t.Run("jsonl", func(t *testing.T) {
+		evs := sampleEvents()
+		var buf bytes.Buffer
+		rec := NewRecorder(NewJSONLSink(&buf), 3) // smaller than len(evs): exercises mid-stream flushes
+		for _, e := range evs {
+			rec.Emit(e)
+		}
+		rec.Flush()
+		if err := rec.Err(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadEvents(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, evs) {
+			t.Fatalf("round trip mismatch:\ngot  %+v\nwant %+v", got, evs)
+		}
+	})
 }
 
 func TestReadEventsEmpty(t *testing.T) {
@@ -78,22 +71,29 @@ func TestReadEventsEmpty(t *testing.T) {
 	}
 }
 
-func TestReadEventsTruncatedBinary(t *testing.T) {
+// TestReadEventsTruncatedLine: a trace whose last line was cut
+// mid-object (a run killed mid-write) is an error naming the event it
+// cut, never a shorter trace.
+func TestReadEventsTruncatedLine(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewBinarySink(&buf)
-	if err := s.WriteEvents(sampleEvents()); err != nil {
+	evs := sampleEvents()
+	if err := NewJSONLSink(&buf).WriteEvents(evs); err != nil {
 		t.Fatal(err)
 	}
 	torn := buf.Bytes()[:buf.Len()-10]
-	if _, err := ReadEvents(bytes.NewReader(torn)); err == nil {
-		t.Fatal("torn binary trace decoded without error")
+	evs, err := ReadEvents(bytes.NewReader(torn))
+	if err == nil {
+		t.Fatalf("torn trace decoded as %d events without error", len(evs))
+	}
+	if want := fmt.Sprintf("event %d:", len(sampleEvents())-1); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name the torn event (%q)", err, want)
 	}
 }
 
 // TestReadEventsRejectsOutOfRange: an event no run can emit (kind or
 // cause past the taxonomy, core outside the simulator's range) is an
-// error in both wire formats, naming the event's index, never an event
-// that panics a consumer indexing per-kind or per-core tables.
+// error naming the event's index, never an event that panics a consumer
+// indexing per-kind or per-core tables.
 func TestReadEventsRejectsOutOfRange(t *testing.T) {
 	good := Event{Cycle: 1, Core: 0, Kind: KindBegin, Tx: 1}
 	for _, tc := range []struct {
@@ -107,27 +107,19 @@ func TestReadEventsRejectsOutOfRange(t *testing.T) {
 		{"core=2e9", Event{Cycle: 2, Core: 2_000_000_000, Kind: KindCommit}},
 		{"core<0", Event{Cycle: 2, Core: -1, Kind: KindCommit}},
 	} {
-		for _, format := range []struct {
-			name string
-			sink func(*bytes.Buffer) Sink
-		}{
-			{"jsonl", func(b *bytes.Buffer) Sink { return NewJSONLSink(b) }},
-			{"binary", func(b *bytes.Buffer) Sink { return NewBinarySink(b) }},
-		} {
-			t.Run(tc.name+"/"+format.name, func(t *testing.T) {
-				var buf bytes.Buffer
-				if err := format.sink(&buf).WriteEvents([]Event{good, tc.bad}); err != nil {
-					t.Fatal(err)
-				}
-				evs, err := ReadEvents(bytes.NewReader(buf.Bytes()))
-				if err == nil {
-					t.Fatalf("decoded %+v without error", evs)
-				}
-				if !strings.Contains(err.Error(), "event 1:") {
-					t.Errorf("error %q does not name event 1", err)
-				}
-			})
-		}
+		t.Run(tc.name+"/jsonl", func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := NewJSONLSink(&buf).WriteEvents([]Event{good, tc.bad}); err != nil {
+				t.Fatal(err)
+			}
+			evs, err := ReadEvents(bytes.NewReader(buf.Bytes()))
+			if err == nil {
+				t.Fatalf("decoded %+v without error", evs)
+			}
+			if !strings.Contains(err.Error(), "event 1:") {
+				t.Errorf("error %q does not name event 1", err)
+			}
+		})
 	}
 }
 

@@ -3,19 +3,15 @@ package telemetry
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 )
 
-// Two wire formats, one record schema. JSONL is the readable default:
-// one object per event, fixed key order, so streams are diffable with
-// text tools and byte-identical whenever the event sequence is. The
-// binary format is a fixed 72-byte little-endian record behind an
-// 8-byte magic, for traces too large to keep as text. ReadEvents
-// sniffs the magic and accepts either.
+// One wire format: JSONL, one object per event with a fixed key order,
+// so streams are diffable with text tools and byte-identical whenever
+// the event sequence is.
 
 // JSONLSink writes one JSON object per event with a fixed key order.
 type JSONLSink struct {
@@ -77,110 +73,13 @@ type jsonEvent struct {
 	E     int64  `json:"e"`
 }
 
-// binaryMagic opens every binary trace. The trailing newline keeps a
-// `head -c8` sniff printable and unambiguous against JSONL (which
-// always starts with '{').
-var binaryMagic = [8]byte{'R', 'E', 'T', 'T', 'R', 'C', '1', '\n'}
-
-const binaryRecordSize = 72 // 8 x int64 payload + int32 core + kind + cause + 2 pad
-
-// BinarySink writes the compact binary format. The magic header is
-// emitted before the first record, so an empty trace is an empty file
-// in both formats.
-type BinarySink struct {
-	w      io.Writer
-	buf    []byte
-	opened bool
-}
-
-// NewBinarySink returns a sink writing the binary format to w.
-func NewBinarySink(w io.Writer) *BinarySink { return &BinarySink{w: w} }
-
-func (s *BinarySink) WriteEvents(evs []Event) error {
-	s.buf = s.buf[:0]
-	if !s.opened {
-		s.buf = append(s.buf, binaryMagic[:]...)
-		s.opened = true
-	}
-	for i := range evs {
-		s.buf = appendEventBinary(s.buf, &evs[i])
-	}
-	_, err := s.w.Write(s.buf)
-	return err
-}
-
-func appendEventBinary(b []byte, e *Event) []byte {
-	b = binary.LittleEndian.AppendUint64(b, uint64(e.Cycle))
-	b = binary.LittleEndian.AppendUint64(b, uint64(e.Tx))
-	b = binary.LittleEndian.AppendUint64(b, uint64(e.Block))
-	b = binary.LittleEndian.AppendUint64(b, uint64(e.A))
-	b = binary.LittleEndian.AppendUint64(b, uint64(e.B))
-	b = binary.LittleEndian.AppendUint64(b, uint64(e.C))
-	b = binary.LittleEndian.AppendUint64(b, uint64(e.D))
-	b = binary.LittleEndian.AppendUint64(b, uint64(e.E))
-	b = binary.LittleEndian.AppendUint32(b, uint32(e.Core))
-	b = append(b, byte(e.Kind), byte(e.Cause), 0, 0)
-	return b
-}
-
-func decodeEventBinary(rec []byte) Event {
-	return Event{
-		Cycle: int64(binary.LittleEndian.Uint64(rec[0:])),
-		Tx:    int64(binary.LittleEndian.Uint64(rec[8:])),
-		Block: int64(binary.LittleEndian.Uint64(rec[16:])),
-		A:     int64(binary.LittleEndian.Uint64(rec[24:])),
-		B:     int64(binary.LittleEndian.Uint64(rec[32:])),
-		C:     int64(binary.LittleEndian.Uint64(rec[40:])),
-		D:     int64(binary.LittleEndian.Uint64(rec[48:])),
-		E:     int64(binary.LittleEndian.Uint64(rec[56:])),
-		Core:  int32(binary.LittleEndian.Uint32(rec[64:])),
-		Kind:  Kind(rec[68]),
-		Cause: Cause(rec[69]),
-	}
-}
-
-// ReadEvents decodes a complete trace in either wire format, sniffing
-// the binary magic. A short trailing record or line (a run killed
-// mid-write) is an error; traces flushed through Recorder.Flush are
-// always record-aligned. An event no run can emit is an error too
+// ReadEvents decodes a complete JSONL trace. A line cut short (a run
+// killed mid-write) is an error; traces flushed through Recorder.Flush
+// always end on a whole line. An event no run can emit is an error too
 // (checkEvent).
 func ReadEvents(r io.Reader) ([]Event, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(binaryMagic))
-	if err == io.EOF && len(head) == 0 {
-		return nil, nil // empty trace
-	}
-	if err == nil && bytes.Equal(head, binaryMagic[:]) {
-		return readBinary(br)
-	}
-	return readJSONL(br)
-}
-
-func readBinary(br *bufio.Reader) ([]Event, error) {
-	if _, err := br.Discard(len(binaryMagic)); err != nil {
-		return nil, err
-	}
 	var evs []Event
-	rec := make([]byte, binaryRecordSize)
-	for {
-		_, err := io.ReadFull(br, rec)
-		if err == io.EOF {
-			return evs, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: truncated binary record after %d events: %w", len(evs), err)
-		}
-		e := decodeEventBinary(rec)
-		if err := checkEvent(&e, len(evs)); err != nil {
-			return nil, err
-		}
-		evs = append(evs, e)
-	}
-}
-
-func readJSONL(br *bufio.Reader) ([]Event, error) {
-	var evs []Event
-	sc := bufio.NewScanner(br)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
@@ -189,7 +88,7 @@ func readJSONL(br *bufio.Reader) ([]Event, error) {
 		}
 		var je jsonEvent
 		if err := json.Unmarshal(line, &je); err != nil {
-			return nil, fmt.Errorf("telemetry: bad trace line after %d events: %w", len(evs), err)
+			return nil, fmt.Errorf("telemetry: event %d: bad trace line: %w", len(evs), err)
 		}
 		kind, ok := KindFromString(je.Kind)
 		if !ok {
