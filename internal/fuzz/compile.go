@@ -45,6 +45,12 @@ func Compile(p *Prog) (*mem.Image, []*isa.Program, *layout, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, nil, err
 	}
+	return compile(p)
+}
+
+// compile is Compile for a program its caller has already validated
+// (Check does, computing the expectations it needs anyway).
+func compile(p *Prog) (*mem.Image, []*isa.Program, *layout, error) {
 	img := mem.NewImage()
 	lay := &layout{sharedBase: img.AllocBlocks(int64(len(p.Words)) * mem.WordSize)}
 	for i, w := range p.Words {

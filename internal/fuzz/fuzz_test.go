@@ -261,17 +261,10 @@ func BenchmarkCheck(b *testing.B) {
 func TestGeneratedParkedRetries(t *testing.T) {
 	var parked [3]int
 	for seed := int64(0); seed < 200; seed++ {
-		prog := Generate(seed, GenOptions{})
-		ex, err := prog.expectations()
+		c, err := newChecker(Generate(seed, GenOptions{}), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		img, progs, lay, err := Compile(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := &checker{p: prog, ex: ex, img: img, progs: progs, lay: lay,
-			lockTrace: newEventLog(), evTrace: newEventLog()}
 		for i, mode := range []sim.Mode{sim.Eager, sim.LazyVB, sim.RetCon} {
 			before := c.parked
 			if d := c.checkMode(mode); d != nil {
@@ -281,6 +274,7 @@ func TestGeneratedParkedRetries(t *testing.T) {
 				parked[i]++
 			}
 		}
+		c.release()
 	}
 	for i, mode := range []sim.Mode{sim.Eager, sim.LazyVB, sim.RetCon} {
 		t.Logf("mode %v: %d/200 programs parked a NACKed core", mode, parked[i])

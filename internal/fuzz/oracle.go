@@ -59,31 +59,49 @@ func (o Options) maxCycles() int64 {
 // and equal final images. It then checks statistics invariants and the
 // statically-expected final shared state.
 func Check(p *Prog, o Options) *Divergence {
-	ex, err := p.expectations()
+	c, err := newChecker(p, o)
 	if err != nil {
 		return &Divergence{Seed: p.Seed, Oracle: OracleRun, Detail: err.Error()}
 	}
-	img, progs, lay, err := Compile(p)
-	if err != nil {
-		return &Divergence{Seed: p.Seed, Oracle: OracleRun, Detail: err.Error()}
-	}
-	c := &checker{p: p, ex: ex, o: o, img: img, progs: progs, lay: lay,
-		lockTrace: eventLogs.Get().(*eventLog), evTrace: eventLogs.Get().(*eventLog)}
 	var d *Divergence
 	for _, mode := range []sim.Mode{sim.Eager, sim.LazyVB, sim.RetCon} {
 		if d = c.checkMode(mode); d != nil {
 			break
 		}
 	}
-	// A divergence keeps no reference to the logs. A panic skips this,
-	// so a log it may have left mid-write is never reused.
-	eventLogs.Put(c.lockTrace)
-	eventLogs.Put(c.evTrace)
+	// A divergence keeps no reference to the pooled buffers. A panic
+	// skips this, so a log it may have left mid-write is never reused.
+	c.release()
 	return d
 }
 
+// newChecker computes p's expectations, which validates it, compiles it
+// once and takes the runs' buffers from their pools.
+func newChecker(p *Prog, o Options) (*checker, error) {
+	ex, err := p.expectations()
+	if err != nil {
+		return nil, err
+	}
+	img, progs, lay, err := compile(p)
+	if err != nil {
+		return nil, err
+	}
+	return &checker{p: p, ex: ex, o: o, img: img, progs: progs, lay: lay,
+		lockTrace: eventLogs.Get().(*eventLog), evTrace: eventLogs.Get().(*eventLog),
+		replay: replayers.Get().(*replayer)}, nil
+}
+
+// release returns the checker's buffers to their pools.
+func (c *checker) release() {
+	eventLogs.Put(c.lockTrace)
+	eventLogs.Put(c.evTrace)
+	c.replay.img = nil // a pooled replayer keeps no image alive
+	replayers.Put(c.replay)
+}
+
 // checker holds one program's single compile and the per-scheduler trace
-// buffers that its six runs share, taken from eventLogs.
+// buffers and the replayer that its six runs share, taken from eventLogs
+// and replayers.
 type checker struct {
 	p     *Prog
 	ex    *expect
@@ -94,6 +112,7 @@ type checker struct {
 
 	// One event log per scheduler, reused across the three modes.
 	lockTrace, evTrace *eventLog
+	replay             *replayer
 	// parked sums the event runs' SchedStats.ParkedRetries: whether the
 	// differential reached the parked-NACK path.
 	parked int64
@@ -202,13 +221,7 @@ func (c *checker) runSched(mode sim.Mode, kind sim.SchedKind, trace *eventLog) *
 	trace.reset()
 	m.Record(trace.rec)
 	if !c.o.SkipReplay {
-		inner := ReplayOracle()
-		m.OnCommit(func(mm *sim.Machine, cc *sim.Core) error {
-			if err := inner(mm, cc); err != nil {
-				return &replayErr{inner: err}
-			}
-			return nil
-		})
+		m.OnCommit(c.replay.observe)
 	}
 	res, err := m.Run()
 	if kind == sim.SchedEvent {

@@ -124,6 +124,7 @@ func (m *Machine) exec(c *Core) bool {
 
 	case isa.Halt:
 		c.halted = true
+		m.haltedCores++
 		m.syncDirty = true // a halt shrinks the live count the barrier waits on
 
 	default:

@@ -80,6 +80,10 @@ type Machine struct {
 
 	tsCounter      int64
 	barrierArrived int
+	// haltedCores counts the cores that have executed HALT this run
+	// (exec increments it), so the schedulers' termination tests and the
+	// barrier release compare against it instead of scanning the cores.
+	haltedCores int
 	//retcon:reset-keep per-request scratch; coherentRequest truncates it at every use
 	targetsBuf []int
 	//retcon:reset-keep per-request scratch; coherentRequest writes it before returning a NACK
@@ -207,6 +211,7 @@ func (m *Machine) Reset(p Params, img *mem.Image, progs []*isa.Program) error {
 	m.Now = 0
 	m.tsCounter = 0
 	m.barrierArrived = 0
+	m.haltedCores = 0
 	m.rec = nil
 	m.metrics = MetricsAgg{}
 	m.schedStats = SchedStats{}
@@ -360,14 +365,7 @@ func (m *Machine) interruptedErr() error {
 // loop themselves) can use it.
 func (m *Machine) AllHalted() bool { return m.allHalted() }
 
-func (m *Machine) allHalted() bool {
-	for _, c := range m.Cores {
-		if !c.halted {
-			return false
-		}
-	}
-	return true
-}
+func (m *Machine) allHalted() bool { return m.haltedCores == len(m.Cores) }
 
 func (m *Machine) pcs() []int {
 	out := make([]int, len(m.Cores))
@@ -377,29 +375,28 @@ func (m *Machine) pcs() []int {
 	return out
 }
 
-// Step advances the machine by one lockstep cycle.
+// Step advances the machine by one lockstep cycle: every core, in ID
+// order, is charged the cycle to its wait category or executes one
+// instruction. The dispatch stays inline, so a halted or stalled core
+// costs no call.
 //
 //retcon:hotpath lockstep per-cycle loop; see TestAllocsPerCycleRegression
 func (m *Machine) Step() {
 	m.Now++
+	now := m.Now
 	for _, c := range m.Cores {
-		m.stepCore(c)
+		switch {
+		case c.halted:
+		case c.barrierWait:
+			c.addCycle(CatBarrier)
+		case now <= c.stallUntil:
+			c.addCycle(c.stallCat)
+		default:
+			m.exec(c)
+		}
 	}
 	if m.syncDirty {
 		m.releaseBarrier()
-	}
-}
-
-//retcon:hotpath per-core dispatch inside every lockstep cycle
-func (m *Machine) stepCore(c *Core) {
-	switch {
-	case c.halted:
-	case c.barrierWait:
-		c.addCycle(CatBarrier)
-	case m.Now <= c.stallUntil:
-		c.addCycle(c.stallCat)
-	default:
-		m.exec(c)
 	}
 }
 
@@ -414,13 +411,7 @@ func (m *Machine) releaseBarrier() {
 	if m.barrierArrived == 0 {
 		return
 	}
-	alive := 0
-	for _, c := range m.Cores {
-		if !c.halted {
-			alive++
-		}
-	}
-	if m.barrierArrived < alive {
+	if m.barrierArrived < len(m.Cores)-m.haltedCores {
 		return
 	}
 	for _, c := range m.Cores {

@@ -65,6 +65,39 @@ func BenchmarkCommitRepair(b *testing.B) {
 	benchMachine(b, "counter", sim.RetCon, 16)
 }
 
+// BenchmarkLockstepStep is the lockstep reference scheduler's per-cycle
+// tick on counter eager@8: every cycle visits every core, so the cost of
+// one core-cycle (a halted or stalled core's charge, or one executed
+// instruction) is the unit it reports.
+func BenchmarkLockstepStep(b *testing.B) {
+	w, err := workloads.Lookup("counter")
+	if err != nil {
+		b.Fatal(err)
+	}
+	const cores = 8
+	p := sim.DefaultParams()
+	p.Cores = cores
+	p.Mode = sim.Eager
+	p.Sched = sim.SchedLockstep
+	m := new(sim.Machine)
+	b.ReportAllocs()
+	var coreCycles int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		bundle := w.Build(cores, 1)
+		if err := m.Reset(p, bundle.Mem, bundle.Programs); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res, err := m.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		coreCycles += res.Cycles * cores
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(coreCycles), "ns/core-cycle")
+}
+
 // BenchmarkMachineReset measures run-to-run machine reuse itself: the
 // per-run cost grid harnesses pay instead of sim.New's full construction.
 func BenchmarkMachineReset(b *testing.B) {
@@ -106,7 +139,7 @@ func BenchmarkMachineReset(b *testing.B) {
 // The static twin of this test is the hotpathalloc analyzer (run by
 // cmd/retcon-lint / make lint): the functions this budget exercises carry
 // //retcon:hotpath annotations — runEvent, wakeWaiters, runLocal,
-// settle (sched.go), Step, stepCore, chargeCycles (machine.go), memAccess,
+// settle (sched.go), Step, chargeCycles (machine.go), memAccess,
 // coherentRequest (memory.go), commit, commitRepair, finishCommit
 // (commit.go) and Predictor.Tracks/find (htm/predictor.go) — so an
 // allocation reintroduced into any of them is named at lint time, and
@@ -126,14 +159,17 @@ func TestAllocsPerCycleRegression(t *testing.T) {
 		wl     string
 		mode   sim.Mode
 		cores  int
+		sched  sim.SchedKind
 		budget float64 // allocs per simulated cycle
 		record bool    // attach a persistent telemetry recorder
 	}{
-		{"counter", sim.Eager, 8, 0.0001, false},
-		{"counter", sim.RetCon, 16, 0.0002, false},
-		{"counter", sim.LazyVB, 16, 0.0002, false},
-		{"counter", sim.Eager, 8, 0.0001, true},
-		{"counter", sim.RetCon, 16, 0.0002, true},
+		{"counter", sim.Eager, 8, sim.SchedEvent, 0.0001, false},
+		{"counter", sim.RetCon, 16, sim.SchedEvent, 0.0002, false},
+		{"counter", sim.LazyVB, 16, sim.SchedEvent, 0.0002, false},
+		{"counter", sim.Eager, 8, sim.SchedEvent, 0.0001, true},
+		{"counter", sim.RetCon, 16, sim.SchedEvent, 0.0002, true},
+		{"counter", sim.Eager, 8, sim.SchedLockstep, 0.0001, false},
+		{"counter", sim.RetCon, 16, sim.SchedLockstep, 0.0002, false},
 	} {
 		w, err := workloads.Lookup(tc.wl)
 		if err != nil {
@@ -142,6 +178,7 @@ func TestAllocsPerCycleRegression(t *testing.T) {
 		p := sim.DefaultParams()
 		p.Cores = tc.cores
 		p.Mode = tc.mode
+		p.Sched = tc.sched
 		bundle := w.Build(tc.cores, 1)
 		m, err := sim.New(p, bundle.Mem, bundle.Programs)
 		if err != nil {
@@ -173,11 +210,11 @@ func TestAllocsPerCycleRegression(t *testing.T) {
 			cycles = res.Cycles
 		})
 		perCycle := allocs / float64(cycles)
-		t.Logf("%s/%v/%d record=%v: %.1f allocs per run, %d cycles, %.6f allocs/cycle (budget %.6f)",
-			tc.wl, tc.mode, tc.cores, tc.record, allocs, cycles, perCycle, tc.budget)
+		t.Logf("%s/%v/%d/%v record=%v: %.1f allocs per run, %d cycles, %.6f allocs/cycle (budget %.6f)",
+			tc.wl, tc.mode, tc.cores, tc.sched, tc.record, allocs, cycles, perCycle, tc.budget)
 		if perCycle > tc.budget {
-			t.Errorf("%s/%v/%d record=%v: %.6f allocs/cycle exceeds the steady-state budget %.6f",
-				tc.wl, tc.mode, tc.cores, tc.record, perCycle, tc.budget)
+			t.Errorf("%s/%v/%d/%v record=%v: %.6f allocs/cycle exceeds the steady-state budget %.6f",
+				tc.wl, tc.mode, tc.cores, tc.sched, tc.record, perCycle, tc.budget)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -91,6 +92,70 @@ func TestResetEquivalence(t *testing.T) {
 		if !freshBundle.Mem.Equal(reusedBundle.Mem) {
 			t.Errorf("run %d (%s/%v/%d/%v): final memory images diverge at word %#x",
 				i, g.wl, g.mode, g.cores, g.sched, freshBundle.Mem.DiffWord(reusedBundle.Mem))
+		}
+	}
+}
+
+// TestResetAfterLockstepWatchdog: a lockstep run that stops at the
+// watchdog with some cores halted leaves the machine's halted-core count
+// mid-run. Reset must clear it, or the next run would end as soon as the
+// stale count plus its own halts reached the core count. The reused run
+// must equal a fresh machine's under either scheduler.
+func TestResetAfterLockstepWatchdog(t *testing.T) {
+	const cores = 4
+	spin := isa.NewBuilder("spin")
+	spin.Label("top")
+	spin.Jmp("top")
+	halt := isa.NewBuilder("halt")
+	halt.Halt()
+	progs := []*isa.Program{halt.MustAssemble(), halt.MustAssemble(), halt.MustAssemble(), spin.MustAssemble()}
+	p := sim.DefaultParams()
+	p.Cores = cores
+	p.Sched = sim.SchedLockstep
+	p.MaxCycles = 1000
+	m, err := sim.New(p, mem.NewImage(), progs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wd *sim.WatchdogError
+	if _, err := m.Run(); !errors.As(err, &wd) {
+		t.Fatalf("first run: error %v, want a watchdog expiry", err)
+	}
+
+	w, err := workloads.Lookup("counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []sim.SchedKind{sim.SchedLockstep, sim.SchedEvent} {
+		q := sim.DefaultParams()
+		q.Cores = cores
+		q.Sched = kind
+		freshBundle := w.Build(cores, 1)
+		fresh, err := sim.New(q, freshBundle.Mem, freshBundle.Programs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bundle := w.Build(cores, 1)
+		if err := m.Reset(q, bundle.Mem, bundle.Programs); err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.Run()
+		if err != nil {
+			t.Fatalf("%v after the watchdog: %v", kind, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v after the watchdog: reused machine diverged:\nfresh:  %+v\nreused: %+v", kind, want, got)
+		}
+		// The next row starts from a stopped lockstep run again.
+		if err := m.Reset(p, mem.NewImage(), progs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(); !errors.As(err, &wd) {
+			t.Fatalf("rerun: error %v, want a watchdog expiry", err)
 		}
 	}
 }

@@ -191,16 +191,12 @@ func (eventSched) Run(m *Machine) error {
 func (m *Machine) runEvent() error {
 	m.wq = wakeQueue{farMin: parked}
 	q := &m.wq
-	halted := 0
 	n := len(m.Cores)
 	wakes := m.wakes
 	for _, c := range m.Cores {
 		c.attributedUntil = m.Now
 		switch {
-		case c.halted:
-			halted++
-			wakes[c.ID] = parked
-		case c.barrierWait:
+		case c.halted, c.barrierWait:
 			wakes[c.ID] = parked
 		case c.stallUntil > m.Now:
 			m.schedule(c.ID, c.stallUntil+1)
@@ -209,7 +205,7 @@ func (m *Machine) runEvent() error {
 		}
 	}
 	polled := m.Now
-	for halted < n {
+	for m.haltedCores < n {
 		// Every queued wake lies after m.Now, so the next cycle to visit is
 		// m.Now+1 when the soon mask is set, else the earlier of the first
 		// occupied wheel slot and the far set's minimum.
@@ -267,7 +263,6 @@ func (m *Machine) runEvent() error {
 			m.dueNow = 0
 			switch {
 			case c.halted:
-				halted++
 				wakes[id] = parked
 			case c.barrierWait:
 				wakes[id] = parked // woken by the release rescheduling it
