@@ -10,166 +10,239 @@
 // workloads).
 package cache
 
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
+
 // Cache is one level of a set-associative, LRU, timing-only cache.
 //
-// Line validity is watermark-based: a line is present only when its LRU
-// stamp is at least resetBase. Bulk reset (machine reuse between runs)
-// then just raises the watermark above every existing stamp — O(1) —
-// instead of memsetting megabytes of tag arrays per run; the stamp
-// counter itself is monotone across runs, so relative LRU order is
-// untouched. Individual invalidations still clear the tag explicitly.
+// Each line is one uint64: the block's tag (block >> setBits; the set
+// index is implied by the line's position) in the high 32 bits and its
+// LRU stamp in the low 32. A line is live only when its stamp is at least
+// the resetBase watermark, which is always at least 1, so stamp 0 marks
+// an empty line and no tag value is reserved. Bulk reset (machine reuse
+// between runs) raises the watermark above every existing stamp — O(1) —
+// instead of clearing the line array per run; the stamp clock keeps
+// running across runs, so relative LRU order is untouched. Invalidation
+// zeroes the line's stamp.
+//
+// When the 32-bit clock is about to wrap, every set's live stamps are
+// rewritten as their LRU ranks within the set (1 = least recent) and the
+// clock restarts above them (see renormalise). Victim choice only ever
+// compares stamps within one set, so the order it sees stays exact.
 type Cache struct {
-	sets int64 //retcon:reset-keep construction geometry, never varies across runs
-	ways int   //retcon:reset-keep construction geometry, never varies across runs
-	//retcon:reset-keep tag storage; entries below the resetBase watermark are invalid
-	tags []int64 // sets*ways entries; -1 = explicitly invalidated
-	//retcon:reset-keep LRU stamps; entries below the resetBase watermark are invalid
-	lru       []int64 // last-use stamps, parallel to tags
-	stamp     int64
-	resetBase int64 // entries with lru < resetBase are invalid (pre-reset)
+	mask    uint64 //retcon:reset-keep construction geometry (sets-1); resetTo rebuilds when it changes
+	setBits uint   //retcon:reset-keep construction geometry (log2 sets); resetTo rebuilds when it changes
+	ways    int    //retcon:reset-keep construction geometry; resetTo rebuilds when it changes
+	//retcon:reset-keep line storage; lines stamped below the resetBase watermark are empty
+	lines     []uint64 // sets*ways lines: tag<<32 | stamp
+	stamp     uint32   // LRU clock: the stamp last written to a line
+	resetBase uint32   // lines with a stamp below it are empty; always >= 1
+}
+
+// Sets returns the set count sizeBytes/(ways*blockSize), or why New
+// cannot build that geometry: ways and blockSize must be positive and the
+// set count a positive power of two. sim.Params.Validate uses it so a bad
+// configuration fails before any machine is built.
+func Sets(sizeBytes int64, ways int, blockSize int64) (int64, error) {
+	if ways < 1 || blockSize < 1 {
+		return 0, fmt.Errorf("ways (%d) and block size (%d) must be positive", ways, blockSize)
+	}
+	// Divide in two steps so a huge ways cannot overflow ways*blockSize.
+	n := sizeBytes / blockSize / int64(ways)
+	if n <= 0 || n&(n-1) != 0 {
+		return 0, fmt.Errorf("%d bytes in %d ways of %d-byte blocks gives %d sets; the set count must be a positive power of two",
+			sizeBytes, ways, blockSize, n)
+	}
+	return n, nil
 }
 
 // New creates a cache of sizeBytes capacity with the given associativity
-// and block size. sizeBytes must be a multiple of ways*blockSize and the
-// set count must be a power of two.
+// and block size. New panics on a geometry Sets rejects.
 func New(sizeBytes int64, ways int, blockSize int64) *Cache {
-	sets := sizeBytes / (int64(ways) * blockSize)
-	if sets <= 0 || sets&(sets-1) != 0 {
-		panic("cache: set count must be a positive power of two")
-	}
-	c := &Cache{sets: sets, ways: ways}
-	c.tags = make([]int64, sets*int64(ways))
-	c.lru = make([]int64, sets*int64(ways))
-	c.Reset()
+	c := &Cache{}
+	c.resetTo(sizeBytes, ways, blockSize)
 	return c
 }
 
-// Reset empties the cache, keeping the tag arrays (machine reuse across
+// resetTo empties the cache for the given geometry, keeping the line array
+// when the geometry is unchanged and building a new one otherwise. The
+// zero Cache is ready for resetTo.
+func (c *Cache) resetTo(sizeBytes int64, ways int, blockSize int64) {
+	n, err := Sets(sizeBytes, ways, blockSize)
+	if err != nil {
+		panic("cache: " + err.Error())
+	}
+	if c.lines != nil && c.mask == uint64(n-1) && c.ways == ways {
+		c.Reset()
+		return
+	}
+	*c = Cache{mask: uint64(n - 1), setBits: uint(bits.TrailingZeros64(uint64(n))), ways: ways,
+		lines: make([]uint64, n*int64(ways)), resetBase: 1}
+}
+
+// Reset empties the cache, keeping the line array (machine reuse across
 // runs). It is O(1): the validity watermark moves above every live stamp.
+// At the clock's wrap it clears the lines and restarts the clock instead.
 func (c *Cache) Reset() {
+	if c.stamp == math.MaxUint32 {
+		clear(c.lines)
+		c.stamp = 0
+	}
 	c.resetBase = c.stamp + 1
 }
 
-func (c *Cache) set(block int64) int64 { return block & (c.sets - 1) }
+// locate returns block's set of lines and its tag. (setBits is below 64;
+// the mask tells the compiler so.)
+func (c *Cache) locate(block int64) (set []uint64, tag uint64) {
+	base := int(uint64(block)&c.mask) * c.ways
+	return c.lines[base : base+c.ways], uint64(block) >> (c.setBits & 63)
+}
 
-// valid reports whether entry i holds a live line.
-func (c *Cache) valid(i int64) bool { return c.tags[i] != -1 && c.lru[i] >= c.resetBase }
+// live reports whether line l holds a block this run.
+func (c *Cache) live(l uint64) bool { return uint32(l) >= c.resetBase }
+
+// find returns the index in set of the live line holding tag, or -1. A
+// negative block, or one whose tag needs more than 32 bits, matches no
+// line.
+func (c *Cache) find(set []uint64, tag uint64) int {
+	for i, l := range set {
+		if l>>32 == tag && c.live(l) {
+			return i
+		}
+	}
+	return -1
+}
+
+// tick advances the LRU clock and returns the new stamp, renormalising the
+// stamps first when the clock would wrap.
+func (c *Cache) tick() uint32 {
+	if c.stamp == math.MaxUint32 {
+		c.renormalise()
+	}
+	c.stamp++
+	return c.stamp
+}
+
+// renormalise rewrites every live line's stamp as its LRU rank within its
+// set (1 = least recent) and every other line's as 0 (empty), then
+// restarts the clock above the largest possible rank. Live stamps within
+// a set are distinct, so the ranks keep each set's LRU order exactly.
+func (c *Cache) renormalise() {
+	ranks := make([]uint64, c.ways)
+	for base := 0; base < len(c.lines); base += c.ways {
+		set := c.lines[base : base+c.ways]
+		for i, l := range set {
+			ranks[i] = 0
+			if !c.live(l) {
+				continue
+			}
+			ranks[i] = 1
+			for _, o := range set {
+				if c.live(o) && uint32(o) < uint32(l) {
+					ranks[i]++
+				}
+			}
+		}
+		for i, l := range set {
+			set[i] = l&^math.MaxUint32 | ranks[i]
+		}
+	}
+	c.resetBase = 1
+	c.stamp = uint32(c.ways)
+}
 
 // Contains reports whether the block is present without touching LRU state.
 func (c *Cache) Contains(block int64) bool {
-	base := c.set(block) * int64(c.ways)
-	for w := 0; w < c.ways; w++ {
-		i := base + int64(w)
-		if c.tags[i] == block && c.lru[i] >= c.resetBase {
-			return true
-		}
-	}
-	return false
+	set, tag := c.locate(block)
+	return c.find(set, tag) >= 0
 }
 
 // Lookup reports whether the block is present, updating LRU on a hit but
-// never inserting.
+// never inserting. A miss leaves the clock alone: only stamps written to
+// lines need to be ordered.
 func (c *Cache) Lookup(block int64) bool {
-	c.stamp++
-	base := c.set(block) * int64(c.ways)
-	for w := 0; w < c.ways; w++ {
-		i := base + int64(w)
-		if c.tags[i] == block && c.lru[i] >= c.resetBase {
-			c.lru[i] = c.stamp
-			return true
-		}
+	set, tag := c.locate(block)
+	if i := c.find(set, tag); i >= 0 {
+		set[i] = tag<<32 | uint64(c.tick())
+		return true
 	}
 	return false
 }
 
 // Access looks up the block, updating LRU on a hit. On a miss it inserts
-// the block, returning the evicted block (victim >= 0) if a valid line was
-// displaced.
+// the block, returning the evicted block (victim >= 0) if a live line was
+// displaced. The victim is the last empty way of the set, or the least
+// recently used way when none is empty.
 func (c *Cache) Access(block int64) (hit bool, victim int64) {
-	c.stamp++
-	base := c.set(block) * int64(c.ways)
-	victimIdx, victimLRU := base, int64(-1)
-	if c.valid(base) {
-		victimLRU = c.lru[base]
+	set, tag := c.locate(block)
+	if tag > math.MaxUint32 {
+		panic(fmt.Sprintf("cache: block %d is outside the cache's 32-bit tag range", block))
 	}
-	for w := 0; w < c.ways; w++ {
-		i := base + int64(w)
-		if c.tags[i] == block && c.lru[i] >= c.resetBase {
-			c.lru[i] = c.stamp
+	// An empty way's key is 0 and a live way's is its stamp (at least 1),
+	// so the smallest key wins, with the last of several empty ways.
+	victimIdx, victimKey := 0, uint32(math.MaxUint32)
+	for i, l := range set {
+		if l>>32 == tag && c.live(l) {
+			set[i] = tag<<32 | uint64(c.tick())
 			return true, -1
 		}
-		if !c.valid(i) {
-			victimIdx, victimLRU = i, -1
-		} else if victimLRU >= 0 && c.lru[i] < victimLRU {
-			victimIdx, victimLRU = i, c.lru[i]
+		key := uint32(l)
+		if !c.live(l) {
+			key = 0
+		}
+		if key == 0 || key < victimKey {
+			victimIdx, victimKey = i, key
 		}
 	}
 	victim = -1
-	if c.valid(victimIdx) {
-		victim = c.tags[victimIdx]
+	if victimKey != 0 {
+		victim = int64(set[victimIdx]>>32<<c.setBits | uint64(block)&c.mask)
 	}
-	c.tags[victimIdx] = block
-	c.lru[victimIdx] = c.stamp
+	set[victimIdx] = tag<<32 | uint64(c.tick())
 	return false, victim
 }
 
 // Invalidate removes the block if present.
 func (c *Cache) Invalidate(block int64) {
-	base := c.set(block) * int64(c.ways)
-	for w := 0; w < c.ways; w++ {
-		i := base + int64(w)
-		if c.tags[i] == block && c.lru[i] >= c.resetBase {
-			c.tags[i] = -1
-			return
-		}
+	set, tag := c.locate(block)
+	if i := c.find(set, tag); i >= 0 {
+		set[i] = 0
 	}
 }
 
-// Hierarchy is one core's private L1+L2 pair. It is inclusive in the weak
-// sense used by the timing model: L1 insertions also insert into L2, and
-// invalidations clear both levels.
+// Hierarchy is one core's private L1+L2 pair, both levels held by value
+// so a probe reaches the line arrays without a pointer hop. It is
+// inclusive in the weak sense used by the timing model: L1 insertions also
+// insert into L2, and invalidations clear both levels.
 type Hierarchy struct {
-	L1 *Cache
-	L2 *Cache
+	L1 Cache
+	L2 Cache
 
 	// Latencies in cycles.
 	L1Hit int64
 	L2Hit int64
-
-	// Construction geometry, kept so ResetFor can tell a clearable
-	// hierarchy from one that must be rebuilt.
-	l1Bytes, l2Bytes, blockSize int64
-	ways                        int
 }
 
-// NewHierarchy builds the Table 1 configuration: 64KB 4-way L1 (1-cycle
-// hit), 1MB 4-way L2 (10-cycle hit), 64B blocks.
+// NewHierarchy builds a hierarchy; the Table 1 configuration is a 64KB
+// 4-way L1 (1-cycle hit), a 1MB 4-way L2 (10-cycle hit) and 64B blocks.
 func NewHierarchy(l1Bytes, l2Bytes int64, ways int, blockSize, l1Hit, l2Hit int64) *Hierarchy {
-	return &Hierarchy{
-		L1:        New(l1Bytes, ways, blockSize),
-		L2:        New(l2Bytes, ways, blockSize),
-		L1Hit:     l1Hit,
-		L2Hit:     l2Hit,
-		l1Bytes:   l1Bytes,
-		l2Bytes:   l2Bytes,
-		ways:      ways,
-		blockSize: blockSize,
-	}
+	h := &Hierarchy{}
+	h.Reset(l1Bytes, l2Bytes, ways, blockSize, l1Hit, l2Hit)
+	return h
 }
 
-// ResetFor returns an empty hierarchy with the requested configuration:
-// the receiver itself (cleared in place, reusing its tag arrays) when the
-// geometry matches, or a freshly built hierarchy otherwise. A nil receiver
-// always builds. This is the machine-reuse plug point.
-func (h *Hierarchy) ResetFor(l1Bytes, l2Bytes int64, ways int, blockSize, l1Hit, l2Hit int64) *Hierarchy {
-	if h == nil || h.l1Bytes != l1Bytes || h.l2Bytes != l2Bytes || h.ways != ways || h.blockSize != blockSize {
-		return NewHierarchy(l1Bytes, l2Bytes, ways, blockSize, l1Hit, l2Hit)
-	}
-	h.L1.Reset()
-	h.L2.Reset()
+// Reset empties the hierarchy in place for the requested configuration.
+// Each level keeps its line array when its geometry is unchanged and is
+// rebuilt otherwise; the zero Hierarchy is ready for Reset. This is the
+// machine-reuse plug point.
+func (h *Hierarchy) Reset(l1Bytes, l2Bytes int64, ways int, blockSize, l1Hit, l2Hit int64) {
+	h.L1.resetTo(l1Bytes, ways, blockSize)
+	h.L2.resetTo(l2Bytes, ways, blockSize)
 	h.L1Hit = l1Hit
 	h.L2Hit = l2Hit
-	return h
 }
 
 // Probe performs a lookup for block and returns the access latency and

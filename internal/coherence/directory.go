@@ -38,16 +38,20 @@ const (
 // NoOwner marks a block with no modified owner.
 const NoOwner = -1
 
-// Entry is the directory's record for one block.
+// Entry is the directory's record for one block, 16 bytes: the sharer
+// bitmap, the run epoch, the owner and the state. Owner fits an int8
+// because a machine has at most 64 cores (sim.Params.Validate), the same
+// bound the 64-bit sharer bitmap sets.
 type Entry struct {
-	State   State
-	Owner   int    // core holding M, or NoOwner
 	Sharers uint64 // bitmap over cores (superset of true presence)
 
 	// epoch validates the entry against the directory's current run: an
 	// entry whose epoch lags is logically Invalid, which makes Reset O(1)
 	// instead of a sweep over every block.
 	epoch uint32
+
+	Owner int8 // core holding M, or NoOwner
+	State State
 }
 
 // HasSharer reports whether core c is in the sharer set.
@@ -174,8 +178,8 @@ func (d *Directory) Peek(block int64) (*Entry, bool) {
 // the caller performs conflict resolution first.
 func (d *Directory) ReadTargets(c int, block int64) int {
 	e := d.Entry(block)
-	if e.State == Modified && e.Owner != c {
-		return e.Owner
+	if e.State == Modified && int(e.Owner) != c {
+		return int(e.Owner)
 	}
 	return NoOwner
 }
@@ -184,8 +188,8 @@ func (d *Directory) ReadTargets(c int, block int64) int {
 // before core c may write block. No state is changed.
 func (d *Directory) WriteTargets(c int, block int64, dst []int) []int {
 	e := d.Entry(block)
-	if e.State == Modified && e.Owner != c {
-		dst = append(dst, e.Owner)
+	if e.State == Modified && int(e.Owner) != c {
+		dst = append(dst, int(e.Owner))
 		return dst
 	}
 	// Iterate set bits only: sharer sets are sparse, and a per-write scan
@@ -205,12 +209,12 @@ func (d *Directory) ApplyRead(c int, block int64, now int64) int64 {
 	e := d.Entry(block)
 	lat := 2 * d.Lat.Hop
 	switch {
-	case e.State == Modified && e.Owner != c:
+	case e.State == Modified && int(e.Owner) != c:
 		lat += d.Lat.Hop // owner forwards data
 		e.Sharers |= 1 << uint(e.Owner)
 		e.Owner = NoOwner
 		e.State = Shared
-	case e.State == Modified && e.Owner == c:
+	case e.State == Modified && int(e.Owner) == c:
 		// Re-fetch after self-eviction; data comes from memory (the dirty
 		// line was written back architecturally the whole time).
 		lat += d.dram(now)
@@ -235,7 +239,7 @@ func (d *Directory) ApplyWrite(c int, block int64, now int64) int64 {
 	e := d.Entry(block)
 	lat := 2 * d.Lat.Hop
 	hadCopies := false
-	if e.State == Modified && e.Owner != c {
+	if e.State == Modified && int(e.Owner) != c {
 		hadCopies = true
 	}
 	if e.Sharers&^(1<<uint(c)) != 0 {
@@ -244,12 +248,12 @@ func (d *Directory) ApplyWrite(c int, block int64, now int64) int64 {
 	if hadCopies {
 		lat += d.Lat.Hop // parallel invalidations + ack
 	}
-	ownCopy := e.HasSharer(c) || (e.State == Modified && e.Owner == c)
+	ownCopy := e.HasSharer(c) || (e.State == Modified && int(e.Owner) == c)
 	if !hadCopies && !ownCopy {
 		lat += d.dram(now)
 	}
 	e.State = Modified
-	e.Owner = c
+	e.Owner = int8(c)
 	e.Sharers = 1 << uint(c)
 	return lat
 }

@@ -1,6 +1,10 @@
 package coherence
 
-import "testing"
+import (
+	"math"
+	"testing"
+	"unsafe"
+)
 
 func lat() Latencies { return Latencies{Hop: 20, DRAM: 100} }
 
@@ -175,4 +179,66 @@ func TestDirectoryResetShrinks(t *testing.T) {
 		}
 	}()
 	d.Entry(50)
+}
+
+// TestDirectoryEpochWrap: the Reset that wraps the uint32 epoch scrubs
+// the entry array, so an entry written in an earlier run can never alias
+// the restarted epoch and reads Invalid with NoOwner afterwards.
+func TestDirectoryEpochWrap(t *testing.T) {
+	d := New(4, 16, lat())
+	d.epoch = math.MaxUint32 - 1
+	d.Reset(4, 16, lat()) // epoch MaxUint32
+	d.ApplyWrite(2, 5, 0)
+	d.ApplyRead(1, 6, 0)
+	d.ApplyRead(3, 6, 0)
+	if e := d.Entry(5); e.State != Modified || e.Owner != 2 {
+		t.Fatalf("setup: entry 5 = %+v, want Modified by core 2", *e)
+	}
+	// A stale entry stamped with epoch 1 would alias the wrapped epoch if
+	// the scrub were skipped.
+	d.entries[9] = Entry{State: Modified, Owner: 3, Sharers: 1 << 3, epoch: 1}
+	d.Reset(4, 16, lat())
+	if d.epoch != 1 {
+		t.Fatalf("epoch after the wrap = %d, want 1", d.epoch)
+	}
+	for block := int64(0); block < 16; block++ {
+		if _, ok := d.Peek(block); ok {
+			t.Errorf("Peek(%d) after the wrapping Reset found a live entry", block)
+		}
+		if e := d.Entry(block); e.State != Invalid || e.Owner != NoOwner || e.Sharers != 0 {
+			t.Errorf("Entry(%d) after the wrapping Reset = %+v, want Invalid with NoOwner", block, *e)
+		}
+	}
+}
+
+// TestEntrySize pins the directory entry at 16 bytes: a python_opt image
+// has about 69K blocks, and the entry array is walked by every request.
+func TestEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(Entry{}); n != 16 {
+		t.Errorf("Entry is %d bytes, want 16", n)
+	}
+}
+
+// BenchmarkDirectoryRequest is the directory-request layer row: the
+// conflict-resolution targets plus the applied state change, for three
+// reads to one write from 32 cores over a python_opt-sized image (69,287
+// blocks at 32 cores).
+func BenchmarkDirectoryRequest(b *testing.B) {
+	const cores, blocks = 32, 69287
+	d := New(cores, blocks, Latencies{Hop: 20, DRAM: 100, DRAMOccupancy: 12})
+	var targets []int
+	x := uint64(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		c, block := int(x>>59), int64(x>>32)%blocks
+		if x>>40&3 == 0 {
+			targets = d.WriteTargets(c, block, targets[:0])
+			d.ApplyWrite(c, block, int64(i))
+		} else {
+			_ = d.ReadTargets(c, block)
+			d.ApplyRead(c, block, int64(i))
+		}
+	}
+	_ = targets
 }

@@ -114,14 +114,16 @@ type UndoEntry struct {
 	Old  int64
 }
 
-// Tx is the per-core transactional state.
+// Tx is the per-core transactional state. Its SpecSet is held by value,
+// so a conflict check reaches the entries without a pointer hop. The zero
+// Tx is ready for Reset.
 type Tx struct {
 	Active  bool
 	TS      int64 // global-order timestamp; retained across aborts (oldest wins)
 	BeginPC int   // PC of the TXBEGIN instruction, the restart point
 	RegCkpt [isa.NumRegs]int64
 	Undo    []UndoEntry
-	Spec    *SpecSet
+	Spec    SpecSet
 
 	Aborts     int   // aborts of the current attempt chain
 	StartCycle int64 // cycle the current attempt began
@@ -134,7 +136,7 @@ type Tx struct {
 
 // NewTx creates transactional state with the given spec-set capacity.
 func NewTx(specCapacity int) *Tx {
-	return &Tx{Spec: NewSpecSet(specCapacity)}
+	return &Tx{Spec: SpecSet{cap: specCapacity}}
 }
 
 // Reset returns the Tx to its freshly-constructed state with the given

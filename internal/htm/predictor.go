@@ -16,7 +16,8 @@ import "math/bits"
 // the map's hashing and bucket walk, and entries never allocate. Slots
 // are epoch-tagged — a slot belongs to the current epoch or is vacant —
 // so Reset is one counter increment instead of an O(buckets) clear,
-// which keeps pooled-machine Reset cost flat for short-run sweeps.
+// which keeps pooled-machine Reset cost flat for short-run sweeps. The
+// zero Predictor is ready for Reset or ResetTo.
 type Predictor struct {
 	// PromoteAfter is the number of observed conflicts before a block is
 	// tracked symbolically.
@@ -52,11 +53,7 @@ func fibHash(block int64, shift uint) int {
 // NewPredictor creates a predictor with the paper's parameters
 // (promote quickly, 100-conflict penalty after a violated constraint).
 func NewPredictor(promoteAfter, violationPenalty int) *Predictor {
-	p := &Predictor{
-		slots: make([]predSlot, predInitialSlots),
-		shift: uint(64 - bits.TrailingZeros(predInitialSlots)),
-		epoch: 1,
-	}
+	p := &Predictor{}
 	p.ResetTo(promoteAfter, violationPenalty)
 	return p
 }
@@ -160,8 +157,12 @@ func (p *Predictor) ObserveViolation(block int64) {
 
 // Reset forgets all history (used between independent benchmark runs),
 // keeping the table's storage: bumping the epoch vacates every slot at
-// once.
+// once. The zero Predictor gets its table here.
 func (p *Predictor) Reset() {
+	if p.slots == nil {
+		p.slots = make([]predSlot, predInitialSlots)
+		p.shift = uint(64 - bits.TrailingZeros(predInitialSlots))
+	}
 	p.epoch++
 	p.live = 0
 }

@@ -13,7 +13,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Core is one simulated in-order processor.
+// Core is one simulated in-order processor. Its cache hierarchy,
+// transactional state, RETCON state and predictor are held by value: a
+// cache probe or conflict check reaches them without a pointer hop, and
+// resetFor reconfigures each in place (the zero value of each is ready
+// for its reset method).
 type Core struct {
 	ID   int //retcon:reset-keep identity, assigned once at construction
 	Prog *isa.Program
@@ -23,10 +27,10 @@ type Core struct {
 	PC     int
 	Regs   [isa.NumRegs]int64
 
-	Hier *cache.Hierarchy
-	Tx   *htm.Tx
-	Ret  *core.State
-	Pred *htm.Predictor
+	Hier cache.Hierarchy
+	Tx   htm.Tx
+	Ret  core.State
+	Pred htm.Predictor
 
 	pendingTS int64 // timestamp of the current transaction attempt chain
 
@@ -154,7 +158,7 @@ func New(p Params, img *mem.Image, progs []*isa.Program) (*Machine, error) {
 // Reset rebuilds the machine in place for a fresh run: after a successful
 // Reset the machine is observationally identical to sim.New(p, img, progs)
 // — same cycle counts, statistics, and trace output — but reuses the
-// previous run's allocations (directory array, cache tag arrays, undo
+// previous run's allocations (directory array, cache line arrays, undo
 // logs, spec sets, RETCON buffers, predictor tables, scheduler buffers)
 // wherever the new configuration's geometry allows. Grid harnesses keep
 // one machine per worker and Reset it between runs instead of
@@ -250,23 +254,11 @@ func (c *Core) resetFor(prog *isa.Program, specCap int, retCfg core.Config, p Pa
 	c.instrs = prog.Instrs
 	c.PC = 0
 	c.Regs = [isa.NumRegs]int64{}
-	c.Hier = c.Hier.ResetFor(p.L1Bytes, p.L2Bytes, p.Ways, mem.BlockSize, p.L1Hit, p.L2Hit)
-	if c.Tx == nil {
-		c.Tx = htm.NewTx(specCap)
-	} else {
-		c.Tx.Reset(specCap)
-	}
-	if c.Ret == nil {
-		c.Ret = core.NewState(retCfg)
-	} else {
-		c.Ret.Configure(retCfg)
-		c.Ret.Reset()
-	}
-	if c.Pred == nil {
-		c.Pred = htm.NewPredictor(p.PromoteAfter, p.ViolationPenalty)
-	} else {
-		c.Pred.ResetTo(p.PromoteAfter, p.ViolationPenalty)
-	}
+	c.Hier.Reset(p.L1Bytes, p.L2Bytes, p.Ways, mem.BlockSize, p.L1Hit, p.L2Hit)
+	c.Tx.Reset(specCap)
+	c.Ret.Configure(retCfg)
+	c.Ret.Reset()
+	c.Pred.ResetTo(p.PromoteAfter, p.ViolationPenalty)
 	c.pendingTS = 0
 	c.nackWaitSince = 0
 	c.waitHolder = 0

@@ -7,6 +7,7 @@
 package sim_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -224,3 +225,44 @@ func TestAllocsPerCycleRegression(t *testing.T) {
 type discardSink struct{}
 
 func (discardSink) WriteEvents([]telemetry.Event) error { return nil }
+
+// newFootprint returns the bytes and heap objects sim.New allocates for
+// a counter bundle at the given core count under DefaultParams. Nearly
+// all of it is the per-core cache line arrays (Table 1's 64 KB L1 and
+// 1 MB L2 are 1,024 and 16,384 lines per core).
+func newFootprint(t *testing.T, cores int) (bytes, objects uint64) {
+	t.Helper()
+	w, err := workloads.Lookup("counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := sim.DefaultParams()
+	p.Cores = cores
+	bundle := w.Build(cores, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := sim.New(p, bundle.Mem, bundle.Programs)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(m)
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+}
+
+// TestMachineFootprint pins the size of a freshly built 64-core Table 1
+// machine: 8-byte cache lines, 16-byte directory entries and per-core
+// structures held by value. Storing each line as two int64s and holding
+// the hierarchy, caches, Tx, spec set, RETCON state and predictor behind
+// pointers cost 17.7 MiB in 1,036 objects.
+func TestMachineFootprint(t *testing.T) {
+	const maxBytes, maxObjects = 9.5 * (1 << 20), 550
+	for _, cores := range []int{32, 64} {
+		bytes, objects := newFootprint(t, cores)
+		t.Logf("sim.New at %d cores: %.2f MiB in %d objects", cores, float64(bytes)/(1<<20), objects)
+		if cores == 64 && (bytes > maxBytes || objects > maxObjects) {
+			t.Errorf("sim.New at 64 cores allocated %.2f MiB in %d objects, want at most 9.5 MiB and %d objects",
+				float64(bytes)/(1<<20), objects, maxObjects)
+		}
+	}
+}

@@ -126,7 +126,7 @@ func (m *Machine) memAccess(c *Core, block int64, isWrite, setSpec, allowNack bo
 	if isWrite && !needDir {
 		// A cached copy does not imply write permission; only the modified
 		// owner may write silently.
-		if e, ok := m.Dir.Peek(block); !ok || e.State != coherence.Modified || e.Owner != c.ID {
+		if e, ok := m.Dir.Peek(block); !ok || e.State != coherence.Modified || int(e.Owner) != c.ID {
 			needDir = true
 		}
 	}

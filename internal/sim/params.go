@@ -8,8 +8,10 @@ package sim
 import (
 	"fmt"
 
+	"repro/internal/cache"
 	"repro/internal/coherence"
 	"repro/internal/core"
+	"repro/internal/mem"
 )
 
 // Mode selects the conflict-handling configuration evaluated in the paper
@@ -124,19 +126,59 @@ func (p *Params) retconConfig() core.Config {
 	return cfg
 }
 
-// Validate checks the parameters for basic sanity.
+// ParamError reports a Params field whose value no machine can be built
+// or run with.
+type ParamError struct {
+	Field  string // the Params field, e.g. "L2Bytes"
+	Value  int64  // its rejected value
+	Reason string
+}
+
+func (e *ParamError) Error() string {
+	return fmt.Sprintf("sim: %s = %d: %s", e.Field, e.Value, e.Reason)
+}
+
+// Validate checks that a machine can be built and run with p. Every
+// failure is a *ParamError naming the offending field.
 func (p *Params) Validate() error {
+	bad := func(field string, v int64, reason string) error {
+		return &ParamError{Field: field, Value: v, Reason: reason}
+	}
 	if p.Cores < 1 || p.Cores > 64 {
-		return fmt.Errorf("sim: cores must be in [1,64], got %d", p.Cores)
+		return bad("Cores", int64(p.Cores), "must be in [1,64]")
 	}
 	if p.Mode < Eager || p.Mode > RetCon {
-		return fmt.Errorf("sim: invalid mode %d", p.Mode)
+		return bad("Mode", int64(p.Mode), "not a mode")
 	}
 	if p.Sched < SchedEvent || p.Sched > SchedLockstep {
-		return fmt.Errorf("sim: invalid scheduler %d", p.Sched)
+		return bad("Sched", int64(p.Sched), "not a scheduler")
 	}
 	if p.MaxCycles <= 0 {
-		return fmt.Errorf("sim: MaxCycles must be positive")
+		return bad("MaxCycles", p.MaxCycles, "must be positive")
+	}
+	// A geometry both levels reject is blamed on the associativity they
+	// share; otherwise on the one size that does not divide into a
+	// power-of-two set count.
+	_, l1 := cache.Sets(p.L1Bytes, p.Ways, mem.BlockSize)
+	_, l2 := cache.Sets(p.L2Bytes, p.Ways, mem.BlockSize)
+	switch {
+	case l1 != nil && l2 != nil:
+		return bad("Ways", int64(p.Ways), l1.Error())
+	case l1 != nil:
+		return bad("L1Bytes", p.L1Bytes, l1.Error())
+	case l2 != nil:
+		return bad("L2Bytes", p.L2Bytes, l2.Error())
+	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"L1Hit", p.L1Hit}, {"L2Hit", p.L2Hit}, {"Hop", p.Hop}, {"DRAM", p.DRAM}, {"DRAMOccupancy", p.DRAMOccupancy}} {
+		if f.v < 0 {
+			return bad(f.name, f.v, "latency must not be negative")
+		}
+	}
+	if p.SpecCapacity < 1 {
+		return bad("SpecCapacity", int64(p.SpecCapacity), "must be at least 1 block")
 	}
 	return nil
 }

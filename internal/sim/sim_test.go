@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -534,6 +535,56 @@ func TestValidate(t *testing.T) {
 	}
 	if Mode(9).String() == "" {
 		t.Error("unknown mode must render")
+	}
+}
+
+// TestValidateNamesField: every configuration no machine can be built or
+// run with fails Validate with a *ParamError naming the field, instead of
+// panicking in cache construction or running to the cycle watchdog.
+func TestValidateNamesField(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Params)
+	}{
+		{"Cores", func(p *Params) { p.Cores = 65 }},
+		{"Mode", func(p *Params) { p.Mode = Mode(-1) }},
+		{"Sched", func(p *Params) { p.Sched = SchedKind(9) }},
+		{"MaxCycles", func(p *Params) { p.MaxCycles = 0 }},
+		{"Ways", func(p *Params) { p.Ways = 0 }},
+		{"Ways", func(p *Params) { p.Ways = -2 }},
+		{"Ways", func(p *Params) { p.Ways = 3 }}, // 341.3 L1 sets, 5461.3 L2 sets
+		{"L1Bytes", func(p *Params) { p.L1Bytes = 0 }},
+		{"L1Bytes", func(p *Params) { p.L1Bytes = 48 << 10 }},
+		{"L2Bytes", func(p *Params) { p.L2Bytes = 0 }},
+		{"L2Bytes", func(p *Params) { p.L2Bytes = -1 << 20 }},
+		{"L1Hit", func(p *Params) { p.L1Hit = -1 }},
+		{"L2Hit", func(p *Params) { p.L2Hit = -1 }},
+		{"Hop", func(p *Params) { p.Hop = -20 }},
+		{"DRAM", func(p *Params) { p.DRAM = -1 }},
+		{"DRAMOccupancy", func(p *Params) { p.DRAMOccupancy = -1 }},
+		{"SpecCapacity", func(p *Params) { p.SpecCapacity = 0 }},
+		{"SpecCapacity", func(p *Params) { p.SpecCapacity = -1 }},
+	} {
+		p := DefaultParams()
+		tc.set(&p)
+		err := p.Validate()
+		var pe *ParamError
+		if !errors.As(err, &pe) || pe.Field != tc.field {
+			t.Errorf("Validate of a bad %s = %v, want a *ParamError naming %s", tc.field, err, tc.field)
+		}
+	}
+	// The smallest and the unusual-but-buildable values stay valid.
+	for _, set := range []func(*Params){
+		func(p *Params) { p.L1Hit, p.L2Hit, p.Hop, p.DRAM, p.DRAMOccupancy = 0, 0, 0, 0, 0 },
+		func(p *Params) { p.SpecCapacity = 1 },
+		func(p *Params) { p.Ways, p.L1Bytes, p.L2Bytes = 3, 3*64*256, 3*64*4096 },
+		func(p *Params) { p.Ways, p.L1Bytes, p.L2Bytes = 1, 64, 64 },
+	} {
+		p := DefaultParams()
+		set(&p)
+		if err := p.Validate(); err != nil {
+			t.Errorf("buildable configuration rejected: %v", err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -362,5 +363,35 @@ func TestParamPatchApplyAtomic(t *testing.T) {
 	}
 	if p.DRAM != sim.DefaultParams().DRAM {
 		t.Error("failed Apply must not half-apply the patch")
+	}
+}
+
+// TestExpandRejectsUnbuildableParams: a sweep spec whose params no machine
+// can be built or run with fails expansion with the *sim.ParamError naming
+// the field, before any run starts (these used to panic in the cache
+// constructor or run to the cycle watchdog).
+func TestExpandRejectsUnbuildableParams(t *testing.T) {
+	for _, tc := range []struct{ params, field string }{
+		{`{"l2_bytes": 0}`, "L2Bytes"},
+		{`{"l1_bytes": 1000}`, "L1Bytes"},
+		{`{"ways": 3}`, "Ways"},
+		{`{"ways": 0}`, "Ways"},
+		{`{"spec_capacity": -1}`, "SpecCapacity"},
+		{`{"spec_capacity": 0}`, "SpecCapacity"},
+		{`{"l1_hit": -1}`, "L1Hit"},
+		{`{"l2_hit": -1}`, "L2Hit"},
+		{`{"hop": -1}`, "Hop"},
+		{`{"dram": -1}`, "DRAM"},
+		{`{"dram_occupancy": -1}`, "DRAMOccupancy"},
+	} {
+		specs, err := ParseSpecs(strings.NewReader(`{"name": "bad", "workloads": ["counter"], "cores": [2], "params": ` + tc.params + `}`))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.params, err)
+		}
+		_, err = ExpandAll(specs, sim.DefaultParams())
+		var pe *sim.ParamError
+		if !errors.As(err, &pe) || pe.Field != tc.field {
+			t.Errorf("params %s: expansion error %v, want a *sim.ParamError naming %s", tc.params, err, tc.field)
+		}
 	}
 }
