@@ -30,10 +30,11 @@
 #   make lab-record  re-run every hypothesis and rewrite the recorded
 #                    FINDINGS.md documents (after an intentional change)
 #   make chaos-smoke fault-injection proof of the resilience layer: a
-#                    48-run grid with injected panics, hangs and
-#                    transient failures completes with exactly the
-#                    injected runs failed, byte-identical across worker
-#                    counts, and a killed-and-resumed sweep reproduces
+#                    48-run grid with an injected mid-run panic and a
+#                    hang completes with exactly the injected runs
+#                    failed and their machines quarantined,
+#                    byte-identical across worker counts, and a
+#                    killed-and-resumed sweep reproduces
 #                    the uninterrupted output byte for byte — under the
 #                    race detector (the CI gate for fault isolation);
 #                    then a journaled retcon-sweep and its -resume
@@ -46,10 +47,12 @@
 #                    retcon-trace analyzer must parse recorded traces,
 #                    and retcon-sim -trace-out - must pipe into
 #                    retcon-trace summary - (stats on stderr)
+#   make loc         non-test Go lines outside benchmark/ (the tracked
+#                    size of the program)
 
 GO ?= go
 
-.PHONY: build vet lint test test-short race ci bench bench-check bench-smoke profile paperbench fuzz fuzz-long wload-smoke lab-smoke lab-record chaos-smoke trace-smoke
+.PHONY: build vet lint test test-short race ci bench bench-check bench-smoke profile paperbench fuzz fuzz-long wload-smoke lab-smoke lab-record chaos-smoke trace-smoke loc
 
 build:
 	$(GO) build ./...
@@ -92,11 +95,10 @@ lab-record: build
 	$(GO) run ./cmd/retcon-lab run -record examples/hypotheses
 
 # Chaos smoke: internal/chaos injects deterministic faults (worker
-# panic, scheduler panic mid-run, hard hang past the deadline,
-# transient-then-success, corrupted result) into real sweep grids and
-# proves fault isolation, quarantine, retry and kill-and-resume
-# byte-identity — with -race, because the abandon path is the one place
-# the engine runs concurrent with a simulating machine. A journaled
+# panic, panic mid-run, hard hang past the deadline, corrupted result)
+# into real sweep grids and proves fault isolation, quarantine and
+# kill-and-resume byte-identity — with -race, because the abandon path
+# is the one place the engine runs concurrent with a simulating machine. A journaled
 # retcon-sweep run and its -resume re-run must then write the same JSONL,
 # which drives the shared engine flags end to end.
 chaos-smoke: build
@@ -166,3 +168,7 @@ fuzz: build
 
 fuzz-long: build
 	$(GO) run ./cmd/retcon-fuzz -seeds 0:1000000 -corpus fuzz-found
+
+# Program size: non-test Go lines, the benchmark module excluded.
+loc:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^benchmark/' | xargs cat | wc -l

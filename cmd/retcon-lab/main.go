@@ -31,7 +31,6 @@ import (
 	retcon "repro"
 	"repro/internal/lab"
 	"repro/internal/progress"
-	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
@@ -60,8 +59,8 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   retcon-lab validate <file-or-dir>...
-  retcon-lab run [-workers N] [-sched event|lockstep] [-out PATH|-] [-record] [-check]
-                 [-journal FILE [-resume]] [-run-deadline D] [-retries N]
+  retcon-lab run [-workers N] [-out PATH|-] [-record] [-check]
+                 [-journal FILE [-resume]] [-run-deadline D]
                  [-progress D] [-metrics PATH|-]
                  <file-or-dir>...
   retcon-lab vars`)
@@ -121,7 +120,6 @@ func cmdValidate(args []string) {
 
 func cmdRun(args []string) {
 	fs := flag.NewFlagSet("retcon-lab run", flag.ExitOnError)
-	schedStr := fs.String("sched", "", "force the cycle-loop scheduler on every run: event or lockstep (findings are byte-identical either way)")
 	outPath := fs.String("out", "", "write FINDINGS.md here ('-' = stdout); single hypothesis only")
 	record := fs.Bool("record", false, "write FINDINGS.md to <specdir>/<name>/FINDINGS.md")
 	check := fs.Bool("check", false, "fail unless the recorded FINDINGS.md matches byte for byte")
@@ -138,13 +136,6 @@ func cmdRun(args []string) {
 	}
 
 	var opt lab.Options
-	if *schedStr != "" {
-		k, err := sim.ParseSched(*schedStr)
-		if err != nil {
-			fail(err)
-		}
-		opt.Sched = &k
-	}
 	if opt.Engine, err = engFlags.Engine(); err != nil {
 		fail(err)
 	}

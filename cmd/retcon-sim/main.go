@@ -40,7 +40,6 @@ func main() {
 	cores := flag.Int("cores", 32, "number of simulated cores")
 	seed := flag.Int64("seed", 1, "workload input seed")
 	list := flag.Bool("list", false, "list available workloads and exit")
-	listWorkloads := flag.Bool("list-workloads", false, "list registry names and descriptions (including spec-registered entries) and exit")
 	speedup := flag.Bool("speedup", true, "also run the 1-core sequential baseline")
 	traceOut := flag.String("trace-out", "", "record the structured event trace to this file as JSONL ('-' = stdout)")
 	metrics := flag.Bool("metrics", false, "print the metric registry snapshot (abort causes, latency histograms, scheduler occupancy)")
@@ -48,7 +47,7 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the simulation to this file")
 	flag.Parse()
 
-	if *list || *listWorkloads {
+	if *list {
 		// Resolve the -workload argument first so a spec: reference shows
 		// up in its own listing.
 		if *name != "" {

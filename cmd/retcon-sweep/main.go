@@ -19,8 +19,7 @@
 // run per (workload, seed) and reports speedups. Identical configurations
 // across the whole sweep are simulated once.
 //
-// Resilience: -run-deadline abandons hung runs, -retries re-attempts
-// possibly-transient failures deterministically, and -journal records
+// Resilience: -run-deadline abandons hung runs, and -journal records
 // every completed run to a crash-safe JSONL file so an interrupted sweep
 // (^C checkpoints and exits 130) continues with -resume — the resumed
 // output is byte-identical to an uninterrupted sweep.
@@ -52,7 +51,6 @@ func main() {
 	csvPath := flag.String("csv", "", "write records as CSV to this file ('-' = stdout)")
 	table := flag.Bool("table", true, "print the text table to stdout")
 	list := flag.Bool("list", false, "list workloads and presets, then exit")
-	listWorkloads := flag.Bool("list-workloads", false, "list registry names and descriptions (including spec-registered entries), then exit")
 	engFlags := progress.Register(flag.CommandLine, "retcon-sweep")
 	flag.Parse()
 
@@ -61,7 +59,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *list || *listWorkloads {
+	if *list {
 		// Expand any given specs/flags first (ignoring failures) so that
 		// spec: references they mention are compiled, registered and
 		// listed alongside the builtins.
@@ -72,9 +70,7 @@ func main() {
 		for _, w := range retcon.ListWorkloads() {
 			fmt.Printf("  %-18s %s\n", w.Name, w.Description)
 		}
-		if !*listWorkloads {
-			fmt.Println("presets:", strings.Join(sweep.PresetNames(), ", "))
-		}
+		fmt.Println("presets:", strings.Join(sweep.PresetNames(), ", "))
 		return
 	}
 

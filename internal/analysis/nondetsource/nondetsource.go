@@ -16,7 +16,7 @@
 // (time.Sleep, time.After, time.NewTimer, ...) are banned alongside
 // time.Now because a wall-clock race deciding control flow is the same
 // bug as a wall-clock value reaching a Result; the sweep engine's
-// deadline and retry-backoff sites carry //lint:nondet-safe reasons
+// deadline and grace timers carry //lint:nondet-safe reasons
 // explaining why elapsed time cannot reach a Result there.
 //
 // recover() gets its own rule with its own key: a bare recover that

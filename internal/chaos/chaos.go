@@ -1,14 +1,13 @@
 // Package chaos is the deterministic fault-injection harness for the
-// execution stack: it injects panics, hangs, transient failures and
-// corrupted Results into chosen runs of a sweep grid to prove, end to
-// end, that the engine's resilience layer (internal/sweep: panic
-// isolation, machine quarantine, wall-clock deadlines, deterministic
-// retry, journal resume) actually holds under fire.
+// execution stack: it injects panics, hangs and corrupted Results into
+// chosen runs of a sweep grid to prove, end to end, that the engine's
+// resilience layer (internal/sweep: panic isolation, machine quarantine,
+// wall-clock deadlines, journal resume) actually holds under fire.
 //
 // Determinism contract: faults are keyed by run identity (workload,
 // seed, mode, cores) — never by execution order — and every fault's
-// observable effect (the panic value, the transient error text, the
-// corrupted field) is a pure function of that identity. A chaos grid is
+// observable effect (the panic value, the corrupted field) is a pure
+// function of that identity. A chaos grid is
 // therefore exactly as deterministic as a clean one: the same faults
 // fire in the same runs for any worker count, scheduler, or resume
 // point, which is what lets the chaos tests demand byte-identical
@@ -35,20 +34,16 @@ const (
 	// the "poisoned grid point" the engine's recovery wrapper must
 	// convert into one FailPanic outcome.
 	Panic Kind = iota
-	// SchedPanic installs a scheduler that panics mid-run, after the
-	// machine has simulated PanicAfter cycles — a panic that unwinds
-	// from inside machine.Run with the machine in an arbitrary state,
+	// RunPanic installs a commit observer that panics at the first
+	// commit at or after cycle PanicAfter — a panic that unwinds from
+	// inside machine.Run with the machine in an arbitrary state,
 	// exercising the quarantine rule.
-	SchedPanic
+	RunPanic
 	// Hang blocks the run mid-simulation, inside a commit observer,
 	// until Gate is closed — a hard hang that only the engine's
 	// wall-clock deadline can abandon (the cooperative interrupt cannot
 	// unwind a blocked observer).
 	Hang
-	// Transient fails the run's first FailAttempts attempts with a
-	// retryable error, then lets it succeed — the retry path's
-	// transient-then-success case.
-	Transient
 	// CorruptResult lets the run complete and then flips its cycle
 	// count — the silent corruption the lab's lockstep differential
 	// oracle exists to catch.
@@ -58,9 +53,7 @@ const (
 // Fault is one injected failure.
 type Fault struct {
 	Kind Kind
-	// FailAttempts (Transient) is how many leading attempts fail.
-	FailAttempts int
-	// PanicAfter (SchedPanic) is the simulated cycle to panic at.
+	// PanicAfter (RunPanic) is the earliest simulated cycle to panic at.
 	PanicAfter int64
 	// Gate (Hang) unblocks the hung run when closed. The test owns the
 	// gate and closes it after the grid completes, releasing the
@@ -126,25 +119,16 @@ func Pick(runs []sweep.Run, seed int64, n int) []Target {
 	return out
 }
 
-// Runner wraps the simulator task runner with the plan's faults:
-// pre-machine faults (Panic, Hang-free Transient) fire here, mid-run
-// faults (SchedPanic, Hang) are installed on the machine via the
-// SimRunner instrument hook, and CorruptResult mutates the completed
-// Result on the way out.
+// Runner wraps the simulator task runner with the plan's faults: Panic
+// fires here, before the machine is acquired, mid-run faults (RunPanic,
+// Hang) are installed on the machine via the SimRunner instrument hook,
+// and CorruptResult mutates the completed Result on the way out.
 func (p *Plan) Runner() sweep.TaskFunc {
 	inner := sweep.SimRunner(p.instrument)
 	return func(t sweep.Task) (*sim.Result, error) {
 		f, ok := p.Fault(t.Run)
-		if ok {
-			switch f.Kind {
-			case Panic:
-				panic(fmt.Sprintf("chaos: injected panic in %s seed %d", t.Run.Workload, t.Run.Seed))
-			case Transient:
-				if t.Attempt < f.FailAttempts {
-					return nil, fmt.Errorf("chaos: injected transient fault in %s seed %d (attempt %d)",
-						t.Run.Workload, t.Run.Seed, t.Attempt)
-				}
-			}
+		if ok && f.Kind == Panic {
+			panic(fmt.Sprintf("chaos: injected panic in %s seed %d", t.Run.Workload, t.Run.Seed))
 		}
 		res, err := inner(t)
 		if ok && f.Kind == CorruptResult && err == nil {
@@ -161,8 +145,17 @@ func (p *Plan) instrument(r sweep.Run, m *sim.Machine) {
 		return
 	}
 	switch f.Kind {
-	case SchedPanic:
-		m.SetScheduler(&PanicScheduler{After: f.PanicAfter})
+	case RunPanic:
+		// Commits fall at the same cycles under both schedulers and the
+		// message depends only on simulated state, so the panic renders
+		// identically on every execution.
+		after := f.PanicAfter
+		m.OnCommit(func(m *sim.Machine, _ *sim.Core) error {
+			if m.Now >= after {
+				panic(fmt.Sprintf("chaos: injected panic at cycle %d", m.Now))
+			}
+			return nil
+		})
 	case Hang:
 		gate := f.Gate
 		m.OnCommit(func(*sim.Machine, *sim.Core) error {
@@ -170,24 +163,6 @@ func (p *Plan) instrument(r sweep.Run, m *sim.Machine) {
 			return nil
 		})
 	}
-}
-
-// PanicScheduler drives the lockstep Step loop and panics once the
-// machine reaches cycle After — a deterministic stand-in for a scheduler
-// bug blowing up from inside machine.Run. The panic message depends only
-// on simulated state, so it renders identically on every execution.
-type PanicScheduler struct{ After int64 }
-
-// Run steps until the panic cycle (or halts first, if After is beyond
-// the run).
-func (s *PanicScheduler) Run(m *sim.Machine) error {
-	for !m.AllHalted() {
-		if m.Now >= s.After {
-			panic(fmt.Sprintf("chaos: injected scheduler panic at cycle %d", m.Now))
-		}
-		m.Step()
-	}
-	return nil
 }
 
 // panicWorkload is a workload whose Build panics — the "panicking

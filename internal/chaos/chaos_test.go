@@ -88,26 +88,37 @@ func render(t *testing.T, outs []sweep.Outcome) []byte {
 }
 
 // TestGridFaultIsolation is the acceptance proof: a 48-run grid with a
-// mid-run scheduler panic, a hard hang past the wall-clock deadline and
-// a transient-then-success failure injected into three distinct runs.
-// The sweep must complete, exactly the panic and hang runs must carry
-// correctly-classified errors, the transient run must succeed with the
-// clean run's exact Result, every untouched run must match a fault-free
-// engine pass — and the rendered JSONL/CSV must be byte-identical for 1
-// and 8 workers.
+// mid-run panic and a hard hang past the wall-clock deadline injected
+// into two distinct runs. The sweep must complete, exactly the panic and
+// hang runs must carry correctly-classified errors, every untouched run
+// must match a fault-free engine pass, the machine pool must see exactly
+// one Put per clean run and one Discard per panicked run — and the
+// rendered JSONL/CSV must be byte-identical for 1 and 8 workers.
 func TestGridFaultIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second deadline-abandon grid")
 	}
 	runs := counterGrid(t)
-	targets := chaos.Pick(runs, 42, 3)
+	targets := chaos.Pick(runs, 42, 2)
 	gate := make(chan struct{})
-	defer close(gate) // release the forfeited hung goroutines at exit
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // release the forfeited hung goroutines at exit
 	plan := chaos.NewPlan()
-	plan.Add(targets[0], chaos.Fault{Kind: chaos.SchedPanic, PanicAfter: 200})
+	plan.Add(targets[0], chaos.Fault{Kind: chaos.RunPanic, PanicAfter: 200})
 	plan.Add(targets[1], chaos.Fault{Kind: chaos.Hang, Gate: gate})
-	plan.Add(targets[2], chaos.Fault{Kind: chaos.Transient, FailAttempts: 1})
 
+	// hungDone hears from each pass's hung run once its runner returns,
+	// machine released, after the gate opens.
+	hungDone := make(chan struct{}, 2)
+	runner := plan.Runner()
+	tasks := func(task sweep.Task) (*sim.Result, error) {
+		if chaos.TargetOf(task.Run) == targets[1] {
+			defer func() { hungDone <- struct{}{} }()
+		}
+		return runner(task)
+	}
+
+	puts0, discards0 := sweep.PoolStats()
 	clean := (&sweep.Engine{Workers: 8}).Execute(runs)
 
 	var docs [][]byte
@@ -116,18 +127,30 @@ func TestGridFaultIsolation(t *testing.T) {
 		// The deadline must be generous enough that no honest run trips it
 		// even under -race (which slows the simulator ~20×) on a loaded CI
 		// machine; only the gated hang may ever exceed it.
-		eng := &sweep.Engine{
-			Workers:      w,
-			Tasks:        plan.Runner(),
-			Deadline:     2 * time.Second,
-			Retries:      1,
-			RetryBackoff: time.Millisecond,
-		}
+		eng := &sweep.Engine{Workers: w, Tasks: tasks, Deadline: 2 * time.Second}
 		outs = eng.Execute(runs)
 		docs = append(docs, render(t, outs))
 	}
 	if !bytes.Equal(docs[0], docs[1]) {
 		t.Error("chaos grid output differs between 1 and 8 workers")
+	}
+	// Quarantine: the clean pass and each chaos pass's 46 honest runs
+	// return their machines, each panicked machine is discarded, and the
+	// two hung runs still hold theirs.
+	puts1, discards1 := sweep.PoolStats()
+	if d := puts1 - puts0; d != 48+2*46 {
+		t.Errorf("puts grew by %d, want %d", d, 48+2*46)
+	}
+	if d := discards1 - discards0; d != 2 {
+		t.Errorf("discards grew by %d, want 2 (one panicked machine per pass)", d)
+	}
+	// Release the hung runs and wait for their machines to come back, so
+	// they cannot land in a later test's pool counts.
+	release()
+	<-hungDone
+	<-hungDone
+	if puts2, discards2 := sweep.PoolStats(); puts2+discards2 != puts1+discards1+2 {
+		t.Errorf("released hung runs returned %d machines, want 2", puts2+discards2-puts1-discards1)
 	}
 
 	failed := 0
@@ -136,9 +159,9 @@ func TestGridFaultIsolation(t *testing.T) {
 		case targets[0]:
 			failed++
 			if k := sweep.Classify(o.Err); k != sweep.FailPanic {
-				t.Errorf("sched-panic run classified %v (err %v), want panic", k, o.Err)
-			} else if !strings.Contains(o.Err.Error(), "injected scheduler panic at cycle 200") {
-				t.Errorf("sched-panic message = %q", o.Err.Error())
+				t.Errorf("mid-run panic classified %v (err %v), want panic", k, o.Err)
+			} else if !strings.Contains(o.Err.Error(), "injected panic at cycle ") {
+				t.Errorf("mid-run panic message = %q", o.Err.Error())
 			}
 		case targets[1]:
 			failed++
@@ -158,15 +181,6 @@ func TestGridFaultIsolation(t *testing.T) {
 	if failed != 2 {
 		t.Errorf("%d failed outcomes, want exactly 2 (panic + hang)", failed)
 	}
-	// The transient run retried into the clean run's exact result (it
-	// matched in the default arm above); prove it was actually targeted.
-	for i, o := range outs {
-		if chaos.TargetOf(o.Run) == targets[2] {
-			if o.Err != nil || !reflect.DeepEqual(o.Res, clean[i].Res) {
-				t.Errorf("transient run did not recover to the clean result: err %v", o.Err)
-			}
-		}
-	}
 }
 
 // TestKillAndResume is the crash-safety proof: pass A runs the chaos
@@ -177,16 +191,10 @@ func TestGridFaultIsolation(t *testing.T) {
 // JSONL/CSV byte for byte — including the replayed failure records.
 func TestKillAndResume(t *testing.T) {
 	runs := counterGrid(t)
-	targets := chaos.Pick(runs, 7, 2)
 	plan := chaos.NewPlan()
-	plan.Add(targets[0], chaos.Fault{Kind: chaos.Panic})
-	plan.Add(targets[1], chaos.Fault{Kind: chaos.Transient, FailAttempts: 1})
+	plan.Add(chaos.Pick(runs, 7, 1)[0], chaos.Fault{Kind: chaos.Panic})
 	engine := func(j *sweep.Journal, stop chan struct{}) *sweep.Engine {
-		return &sweep.Engine{
-			Workers: 4, Tasks: plan.Runner(),
-			Retries: 1, RetryBackoff: time.Millisecond,
-			Journal: j, Stop: stop,
-		}
+		return &sweep.Engine{Workers: 4, Tasks: plan.Runner(), Journal: j, Stop: stop}
 	}
 	dir := t.TempDir()
 
@@ -272,8 +280,9 @@ func TestKillAndResume(t *testing.T) {
 
 // TestPanicWorkloadFactory: a workload whose Build panics poisons
 // exactly its own grid point. The panic fires before any machine is
-// acquired, the engine converts it into one FailPanic outcome, and the
-// rest of the grid renders byte-identically for 1 and 8 workers.
+// acquired (so the pool discards nothing), the engine converts it into
+// one FailPanic outcome, and the rest of the grid renders
+// byte-identically for 1 and 8 workers.
 func TestPanicWorkloadFactory(t *testing.T) {
 	name := chaos.RegisterPanicWorkload("chaos-boom")
 	spec := sweep.Spec{
@@ -295,8 +304,14 @@ func TestPanicWorkloadFactory(t *testing.T) {
 	var docs [][]byte
 	var outs []sweep.Outcome
 	for _, w := range []int{1, 8} {
+		puts0, discards0 := sweep.PoolStats()
 		outs = (&sweep.Engine{Workers: w}).Execute(runs)
 		docs = append(docs, render(t, outs))
+		puts1, discards1 := sweep.PoolStats()
+		if puts1-puts0 != int64(len(runs)-1) || discards1 != discards0 {
+			t.Errorf("workers=%d: pool puts +%d discards +%d, want +%d and +0",
+				w, puts1-puts0, discards1-discards0, len(runs)-1)
+		}
 	}
 	if !bytes.Equal(docs[0], docs[1]) {
 		t.Error("output differs between 1 and 8 workers")
@@ -322,11 +337,11 @@ func TestPanicWorkloadFactory(t *testing.T) {
 	}
 }
 
-// TestSchedPanicMidRun: a scheduler that panics mid-simulation fails
-// exactly its own run; the machine it corrupted is quarantined, the
-// worker pool survives, and the rest of the grid is byte-identical
-// across pool sizes.
-func TestSchedPanicMidRun(t *testing.T) {
+// TestRunPanicMidRun: a panic from inside machine.Run fails exactly its
+// own run; the machine it left mid-run is quarantined, the worker pool
+// survives, and the rest of the grid is byte-identical across pool
+// sizes.
+func TestRunPanicMidRun(t *testing.T) {
 	spec := sweep.Spec{
 		Name:      "sp",
 		Workloads: []string{"counter"},
@@ -339,14 +354,20 @@ func TestSchedPanicMidRun(t *testing.T) {
 	}
 	target := chaos.TargetOf(runs[len(runs)/2])
 	plan := chaos.NewPlan()
-	plan.Add(target, chaos.Fault{Kind: chaos.SchedPanic, PanicAfter: 300})
+	plan.Add(target, chaos.Fault{Kind: chaos.RunPanic, PanicAfter: 300})
 
 	clean := (&sweep.Engine{Workers: 4}).Execute(runs)
 	var docs [][]byte
 	var outs []sweep.Outcome
 	for _, w := range []int{1, 8} {
+		puts0, discards0 := sweep.PoolStats()
 		outs = (&sweep.Engine{Workers: w, Tasks: plan.Runner()}).Execute(runs)
 		docs = append(docs, render(t, outs))
+		puts1, discards1 := sweep.PoolStats()
+		if puts1-puts0 != int64(len(runs)-1) || discards1-discards0 != 1 {
+			t.Errorf("workers=%d: pool puts +%d discards +%d, want +%d and +1",
+				w, puts1-puts0, discards1-discards0, len(runs)-1)
+		}
 	}
 	if !bytes.Equal(docs[0], docs[1]) {
 		t.Error("output differs between 1 and 8 workers")
@@ -488,7 +509,7 @@ func TestLabJournalResume(t *testing.T) {
 }
 
 // TestPanickedRunLeavesCleanPartialTrace: a run killed mid-simulation
-// by an injected scheduler panic must leave a well-formed partial event
+// by a panicking commit observer must leave a well-formed partial event
 // trace — the machine's deferred recorder flush fires on the panic
 // unwind, so the sink holds a record-aligned prefix of the clean run's
 // trace, never a torn record.
@@ -498,26 +519,30 @@ func TestPanickedRunLeavesCleanPartialTrace(t *testing.T) {
 	run.Params.Cores = 2
 	run.Params.Mode = sim.RetCon
 
-	// Clean reference: the same run to completion under lockstep (the
-	// panicking scheduler drives the lockstep Step loop, so event order
-	// matches it exactly).
+	// Clean reference: the same run to completion.
 	var full bytes.Buffer
-	cleanRun := run
-	cleanRun.Params.Sched = sim.SchedLockstep
 	outs := (&sweep.Engine{Tasks: sweep.SimRunner(func(r sweep.Run, m *sim.Machine) {
 		m.Record(telemetry.NewRecorder(telemetry.NewJSONLSink(&full), 64))
-	})}).Execute([]sweep.Run{cleanRun})
+	})}).Execute([]sweep.Run{run})
 	if outs[0].Err != nil {
 		t.Fatal(outs[0].Err)
 	}
 
-	// Faulted run: recorder attached, scheduler panics at a fixed cycle.
-	// The tiny ring (64 events) forces several mid-run flushes, so the
-	// partial trace crosses flush boundaries before the panic tears it.
+	// Faulted run: recorder attached, panic at the first commit from a
+	// fixed cycle on. The tiny ring (64 events) forces several mid-run
+	// flushes, so the partial trace crosses flush boundaries before the
+	// panic tears it.
 	var partial bytes.Buffer
+	var panickedAt int64
 	outs = (&sweep.Engine{Tasks: sweep.SimRunner(func(r sweep.Run, m *sim.Machine) {
 		m.Record(telemetry.NewRecorder(telemetry.NewJSONLSink(&partial), 64))
-		m.SetScheduler(&chaos.PanicScheduler{After: panicAt})
+		m.OnCommit(func(m *sim.Machine, _ *sim.Core) error {
+			if m.Now >= panicAt {
+				panickedAt = m.Now
+				panic("injected")
+			}
+			return nil
+		})
 	})}).Execute([]sweep.Run{run})
 	if k := sweep.Classify(outs[0].Err); k != sweep.FailPanic {
 		t.Fatalf("classified %v (err %v), want panic", k, outs[0].Err)
@@ -531,11 +556,11 @@ func TestPanickedRunLeavesCleanPartialTrace(t *testing.T) {
 		t.Fatal("partial trace is empty; expected events before the panic cycle")
 	}
 	for i := range evs {
-		if evs[i].Cycle > panicAt {
-			t.Errorf("event %d at cycle %d, after the panic cycle %d", i, evs[i].Cycle, panicAt)
+		if evs[i].Cycle > panickedAt {
+			t.Errorf("event %d at cycle %d, after the panic cycle %d", i, evs[i].Cycle, panickedAt)
 		}
 	}
-	if !bytes.HasPrefix(full.Bytes(), partial.Bytes()) {
-		t.Error("partial trace is not a byte prefix of the clean run's trace")
+	if partial.Len() >= full.Len() || !bytes.HasPrefix(full.Bytes(), partial.Bytes()) {
+		t.Error("partial trace is not a proper byte prefix of the clean run's trace")
 	}
 }

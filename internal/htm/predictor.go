@@ -170,9 +170,6 @@ func (p *Predictor) Reset() {
 // ResetTo is Reset with new training parameters (machine reuse across
 // configurations).
 func (p *Predictor) ResetTo(promoteAfter, violationPenalty int) {
-	if promoteAfter < 1 {
-		promoteAfter = 1
-	}
 	p.PromoteAfter = promoteAfter
 	p.ViolationPenalty = violationPenalty
 	p.Reset()

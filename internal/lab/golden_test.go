@@ -38,23 +38,26 @@ func readRecorded(t *testing.T, specPath, name string) []byte {
 }
 
 // TestZipfSkewGolden pins the full pipeline: the zipf-skew example must
-// render byte-identically for any worker-pool size and under either
-// forced scheduler, and match the recorded FINDINGS.md exactly. It runs
-// in -short mode (the grid takes tens of milliseconds) so CI always
-// exercises the end-to-end path under -race.
+// render byte-identically for any worker-pool size and with every grid
+// run simulated under the lockstep scheduler, and match the recorded
+// FINDINGS.md exactly. It runs in -short mode (the grid takes tens of
+// milliseconds) so CI always exercises the end-to-end path under -race.
 func TestZipfSkewGolden(t *testing.T) {
 	spec := filepath.Join(hypothesesDir, "zipf-skew.json")
 	want := readRecorded(t, spec, "zipf-skew")
 
-	event, lockstep := sim.SchedEvent, sim.SchedLockstep
+	simulate := sweep.SimRunner(nil)
+	lockstep := func(t sweep.Task) (*sim.Result, error) {
+		t.Run.Params.Sched = sim.SchedLockstep
+		return simulate(t)
+	}
 	variants := []struct {
 		name string
 		opt  Options
 	}{
 		{"workers=1", Options{Engine: sweep.Engine{Workers: 1}}},
 		{"workers=8", Options{Engine: sweep.Engine{Workers: 8}}},
-		{"workers=8 sched=event", Options{Engine: sweep.Engine{Workers: 8}, Sched: &event}},
-		{"workers=8 sched=lockstep", Options{Engine: sweep.Engine{Workers: 8}, Sched: &lockstep}},
+		{"workers=8 lockstep", Options{Engine: sweep.Engine{Workers: 8, Tasks: lockstep}}},
 	}
 	for _, v := range variants {
 		got := renderHypothesis(t, spec, v.opt)

@@ -29,16 +29,12 @@ type Options struct {
 	// sim.DefaultParams().
 	Base sim.Params
 	// Engine executes the combined grid as given: pool size, per-run
-	// deadline and retries, journal (a resumed run replays journaled
+	// deadline, journal (a resumed run replays journaled
 	// outcomes and renders the byte-identical FINDINGS.md), progress
 	// counters and the Stop checkpoint, after which Run returns an error
 	// instead of judging a partial grid. The zero value is the plain
 	// simulator on GOMAXPROCS workers.
 	Engine sweep.Engine
-	// Sched forces the cycle-loop scheduler on every grid and baseline
-	// run (the oracle re-execution always uses lockstep). Findings are
-	// byte-identical either way; the flag exists so tests can prove it.
-	Sched *sim.SchedKind
 	// Observe, when non-nil, is called once per successful grid run in
 	// deterministic run order after the grid completes (baselines and
 	// oracle twins excluded) — the export hook behind retcon-lab's
@@ -116,11 +112,6 @@ func Run(h *Hypothesis, opt Options) (*Report, error) {
 		return nil, err
 	}
 	grid := append(append([]sweep.Run(nil), texp...), cexp...)
-	if opt.Sched != nil {
-		for i := range grid {
-			grid[i].Params.Sched = *opt.Sched
-		}
-	}
 
 	// One combined, deduplicated engine pass: baselines first (ordered
 	// delivery fills the index before any grid record needs it), then

@@ -239,22 +239,3 @@ func TestRunRefutedBeatsInconclusive(t *testing.T) {
 		t.Fatalf("verdict = %v, want REFUTED (a refuting cell decides)", rep.Verdict)
 	}
 }
-
-func TestRunSchedOverrideStillDeterministic(t *testing.T) {
-	// Forcing either scheduler on the grid must not change the rendered
-	// findings when the runner is scheduler-oblivious.
-	var docs [][]byte
-	for _, k := range []sim.SchedKind{sim.SchedEvent, sim.SchedLockstep} {
-		h := minimal()
-		h.Seeds = []int64{1, 2, 3}
-		kk := k
-		rep, err := Run(h, Options{Engine: sweep.Engine{Workers: 4, Tasks: cyclesByMode(100, 500)}, Sched: &kk})
-		if err != nil {
-			t.Fatal(err)
-		}
-		docs = append(docs, Render(rep))
-	}
-	if string(docs[0]) != string(docs[1]) {
-		t.Fatal("findings differ across forced schedulers")
-	}
-}

@@ -20,7 +20,6 @@ type Flags struct {
 	name     string
 	workers  int
 	deadline time.Duration
-	retries  int
 	journal  string
 	resume   bool
 	metrics  string
@@ -39,11 +38,10 @@ func Register(fs *flag.FlagSet, name string) *Flags {
 	f := &Flags{name: name}
 	fs.IntVar(&f.workers, "workers", 0, "worker-pool size (default: GOMAXPROCS)")
 	fs.DurationVar(&f.deadline, "run-deadline", 0, "per-run wall-clock deadline; a run exceeding it is abandoned and reported as failed (0 = off)")
-	fs.IntVar(&f.retries, "retries", 0, "retry possibly-transient run failures up to N times (watchdog trips and oracle divergences never retry)")
 	fs.StringVar(&f.journal, "journal", "", "append completed runs to this JSONL journal (crash-safe; enables -resume)")
 	fs.BoolVar(&f.resume, "resume", false, "replay outcomes already recorded in -journal instead of re-running them")
 	fs.StringVar(&f.metrics, "metrics", "", "write per-run metric snapshots (abort causes, latency histograms) as JSON lines to this file ('-' = stdout)")
-	fs.DurationVar(&f.every, "progress", 0, "print a progress line (done/failed/retried, ETA) to stderr every interval, e.g. 2s (0 = off; stdout is untouched)")
+	fs.DurationVar(&f.every, "progress", 0, "print a progress line (done/failed, ETA) to stderr every interval, e.g. 2s (0 = off; stdout is untouched)")
 	return f
 }
 
@@ -57,7 +55,7 @@ func (f *Flags) Engine() (sweep.Engine, error) {
 	if f.resume && f.journal == "" {
 		return sweep.Engine{}, errors.New("-resume requires -journal")
 	}
-	eng := sweep.Engine{Workers: f.workers, Deadline: f.deadline, Retries: f.retries}
+	eng := sweep.Engine{Workers: f.workers, Deadline: f.deadline}
 	if f.journal != "" {
 		j, err := sweep.OpenJournal(f.journal, f.resume)
 		if err != nil {

@@ -48,17 +48,14 @@ func Start(w io.Writer, name string, p *sweep.Progress, every time.Duration) (st
 	}
 }
 
-// line renders one status line: completed/total and failure and retry
-// counts when nonzero. While the grid is still draining, a ticker line
+// line renders one status line: completed/total and the failure count
+// when nonzero. While the grid is still draining, a ticker line
 // adds the ETA and the final line the count of runs that never started.
 func line(name string, p *sweep.Progress, start time.Time, final bool) string {
 	total, done := p.Total.Load(), p.Done.Load()
 	s := fmt.Sprintf("%s: progress %d/%d runs", name, done, total)
 	if f := p.Failed.Load(); f > 0 {
 		s += fmt.Sprintf(", %d failed", f)
-	}
-	if r := p.Retried.Load(); r > 0 {
-		s += fmt.Sprintf(", %d retried", r)
 	}
 	switch {
 	case final && done < total:

@@ -7,17 +7,16 @@
 // The Harness executes every simulation through the concurrent sweep
 // engine (internal/sweep): each figure/table prefetches its full
 // workload × mode × cores grid across a bounded worker pool, then
-// assembles rows serially from the cache. Because each simulation is
-// itself deterministic and runs share no state, the rendered tables are
-// byte-identical to a sequential regeneration for any pool size. The
-// package also hosts the structured sinks (JSONL, CSV, text table) that
+// assembles rows serially from the engine's in-memory journal. Because
+// each simulation is itself deterministic and runs share no state, the
+// rendered tables are byte-identical to a sequential regeneration for
+// any pool size. The package also hosts the structured sinks (JSONL, CSV, text table) that
 // sweep records stream through.
 package report
 
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	retcon "repro"
 	"repro/internal/sim"
@@ -25,86 +24,48 @@ import (
 	"repro/internal/workloads"
 )
 
-// Harness runs and caches simulations for report generation. Runs are
-// keyed by (workload, mode, cores) so figures sharing data (e.g. Figure 9
-// includes Figure 3's eager bars) do not re-simulate. All execution goes
-// through the sweep engine; Workers bounds the pool.
+// Harness runs simulations for report generation. Every run goes through
+// the sweep engine with one in-memory journal, so figures sharing data
+// (e.g. Figure 9 includes Figure 3's eager bars) do not re-simulate;
+// Workers bounds the pool.
 type Harness struct {
 	Base retcon.Config
 	Seed int64
 	// Workers bounds the concurrent prefetch pool; <= 0 means GOMAXPROCS.
 	Workers int
 
-	mu    sync.Mutex
-	cache map[runKey]*retcon.Result
-}
-
-// runKey identifies one cached run of the harness's base machine.
-type runKey struct {
-	name  string
-	mode  retcon.Mode
-	cores int
+	journal *sweep.Journal
 }
 
 // NewHarness creates a harness over the given base machine configuration.
 func NewHarness(base retcon.Config) *Harness {
-	return &Harness{Base: base, Seed: 1, cache: make(map[runKey]*retcon.Result)}
+	return &Harness{Base: base, Seed: 1, journal: sweep.NewJournal()}
 }
 
-// Run returns the (cached) result of the workload under mode with the
-// given core count.
+// Run returns the result of the workload under mode with the given core
+// count, simulating it only the first time.
 func (h *Harness) Run(name string, mode retcon.Mode, cores int) (*retcon.Result, error) {
-	if err := h.prefetch([]runKey{{name, mode, cores}}); err != nil {
+	outs, err := h.prefetch([]sweep.Run{h.runOf(name, mode, cores)})
+	if err != nil {
 		return nil, err
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.cache[runKey{name, mode, cores}], nil
+	res := outs[0].Res
+	return &retcon.Result{Workload: name, Threads: cores, Mode: mode, Cycles: res.Cycles, Sim: res}, nil
 }
 
-// prefetch simulates every not-yet-cached key through the sweep engine's
-// worker pool and fills the cache. It returns the first per-run error.
-func (h *Harness) prefetch(keys []runKey) error {
-	h.mu.Lock()
-	var missing []runKey
-	seen := make(map[runKey]bool, len(keys))
-	for _, k := range keys {
-		if _, ok := h.cache[k]; !ok && !seen[k] {
-			seen[k] = true
-			missing = append(missing, k)
-		}
-	}
-	h.mu.Unlock()
-	if len(missing) == 0 {
-		return nil
-	}
+// runOf is the harness's run of the workload under mode at cores.
+func (h *Harness) runOf(name string, mode retcon.Mode, cores int) sweep.Run {
+	cfg := h.Base
+	cfg.Mode = mode
+	cfg.Cores = cores
+	return sweep.Run{Workload: name, Seed: h.Seed, Params: cfg}
+}
 
-	runs := make([]sweep.Run, len(missing))
-	for i, k := range missing {
-		cfg := h.Base
-		cfg.Mode = k.mode
-		cfg.Cores = k.cores
-		runs[i] = sweep.Run{Workload: k.name, Seed: h.Seed, Params: cfg}
-	}
-	eng := sweep.Engine{Workers: h.Workers}
-	outs := eng.Execute(runs)
-	if err := sweep.FirstErr(outs); err != nil {
-		return err
-	}
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i, o := range outs {
-		k := missing[i]
-		h.cache[k] = &retcon.Result{
-			Workload: k.name,
-			Threads:  k.cores,
-			Mode:     k.mode,
-			Cycles:   o.Res.Cycles,
-			Sim:      o.Res,
-		}
-	}
-	return nil
+// prefetch executes the runs not yet journaled through the sweep engine's
+// worker pool. It returns every outcome and the first per-run error.
+func (h *Harness) prefetch(runs []sweep.Run) ([]sweep.Outcome, error) {
+	outs := (&sweep.Engine{Workers: h.Workers, Journal: h.journal}).Execute(runs)
+	return outs, sweep.FirstErr(outs)
 }
 
 // Speedup returns the workload's speedup over one-core sequential
@@ -148,14 +109,14 @@ func (h *Harness) Figure9() ([]SpeedupRow, error) {
 }
 
 func (h *Harness) speedups(names []string, modes []retcon.Mode) ([]SpeedupRow, error) {
-	var keys []runKey
+	var runs []sweep.Run
 	for _, name := range names {
-		keys = append(keys, runKey{name, retcon.ModeEager, 1})
+		runs = append(runs, h.runOf(name, retcon.ModeEager, 1))
 		for _, mode := range modes {
-			keys = append(keys, runKey{name, mode, h.Base.Cores})
+			runs = append(runs, h.runOf(name, mode, h.Base.Cores))
 		}
 	}
-	if err := h.prefetch(keys); err != nil {
+	if _, err := h.prefetch(runs); err != nil {
 		return nil, err
 	}
 	var rows []SpeedupRow
@@ -199,14 +160,14 @@ func (h *Harness) breakdowns(modes []retcon.Mode) ([]BreakdownRow, error) {
 }
 
 func (h *Harness) breakdownsFor(names []string, modes []retcon.Mode) ([]BreakdownRow, error) {
-	var keys []runKey
+	var runs []sweep.Run
 	for _, name := range names {
-		keys = append(keys, runKey{name, retcon.ModeEager, h.Base.Cores})
+		runs = append(runs, h.runOf(name, retcon.ModeEager, h.Base.Cores))
 		for _, mode := range modes {
-			keys = append(keys, runKey{name, mode, h.Base.Cores})
+			runs = append(runs, h.runOf(name, mode, h.Base.Cores))
 		}
 	}
-	if err := h.prefetch(keys); err != nil {
+	if _, err := h.prefetch(runs); err != nil {
 		return nil, err
 	}
 	var rows []BreakdownRow
@@ -245,11 +206,11 @@ type Table3Row struct {
 // Table3 regenerates Table 3: RETCON structure utilization and pre-commit
 // overhead per workload.
 func (h *Harness) Table3() ([]Table3Row, error) {
-	var keys []runKey
+	var runs []sweep.Run
 	for _, name := range workloads.PaperNames() {
-		keys = append(keys, runKey{name, retcon.ModeRetCon, h.Base.Cores})
+		runs = append(runs, h.runOf(name, retcon.ModeRetCon, h.Base.Cores))
 	}
-	if err := h.prefetch(keys); err != nil {
+	if _, err := h.prefetch(runs); err != nil {
 		return nil, err
 	}
 	var rows []Table3Row
@@ -274,26 +235,18 @@ type IdealRow struct {
 
 // IdealComparison regenerates the §5.3 idealized-system validation.
 func (h *Harness) IdealComparison(names []string) ([]IdealRow, error) {
-	var keys []runKey
-	idealRuns := make([]sweep.Run, len(names))
-	for i, name := range names {
-		keys = append(keys, runKey{name, retcon.ModeEager, 1}, runKey{name, retcon.ModeRetCon, h.Base.Cores})
-		cfg := h.Base
-		cfg.Mode = retcon.ModeRetCon
-		cfg.Cores = h.Base.Cores
-		cfg.IdealUnlimited = true
-		cfg.IdealParallelReacquire = true
-		cfg.IdealZeroStoreLatency = true
-		idealRuns[i] = sweep.Run{Workload: name, Seed: h.Seed, Params: cfg}
+	// Each workload's ideal run follows its eager baseline and default
+	// RetCon run, so the ideal outcome of names[i] is outs[3*i+2].
+	var runs []sweep.Run
+	for _, name := range names {
+		ideal := h.runOf(name, retcon.ModeRetCon, h.Base.Cores)
+		ideal.Params.IdealUnlimited = true
+		ideal.Params.IdealParallelReacquire = true
+		ideal.Params.IdealZeroStoreLatency = true
+		runs = append(runs, h.runOf(name, retcon.ModeEager, 1), h.runOf(name, retcon.ModeRetCon, h.Base.Cores), ideal)
 	}
-	if err := h.prefetch(keys); err != nil {
-		return nil, err
-	}
-	// Ideal runs are not part of the (workload, mode, cores) cache space;
-	// execute them as a one-off grid through the same engine.
-	eng := sweep.Engine{Workers: h.Workers}
-	ideals := eng.Execute(idealRuns)
-	if err := sweep.FirstErr(ideals); err != nil {
+	outs, err := h.prefetch(runs)
+	if err != nil {
 		return nil, err
 	}
 
@@ -307,7 +260,7 @@ func (h *Harness) IdealComparison(names []string) ([]IdealRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		idealSp := float64(seq.Cycles) / float64(ideals[i].Res.Cycles)
+		idealSp := float64(seq.Cycles) / float64(outs[3*i+2].Res.Cycles)
 		rows = append(rows, IdealRow{
 			Workload:     name,
 			Default:      def,

@@ -43,14 +43,14 @@ type probeSched struct {
 	offsets    map[int]bool
 }
 
-func (s *probeSched) Run(m *Machine) error {
+func (s *probeSched) run(m *Machine) error {
 	c := m.Cores[s.core]
 	for !m.allHalted() {
 		if m.Now >= m.P.MaxCycles {
 			return m.watchdogErr()
 		}
 		before := c.PC
-		m.Step()
+		m.step()
 		if pc, ok := s.at(m, before); ok {
 			s.offsets[pc-s.head] = true
 		}
@@ -506,12 +506,16 @@ func runBusyRow(t *testing.T, p Params, kind SchedKind, probe *probeSched,
 	if err := m.Reset(p, img, progs); err != nil {
 		t.Fatal(err)
 	}
-	if probe != nil {
-		m.SetScheduler(probe)
-	}
 	out := &busyRowRun{name: kind.String(), img: img}
 	m.Record(telemetry.NewRecorder(&out.trace, 0))
-	out.res, out.err = m.Run()
+	if probe != nil {
+		if out.err = probe.run(m); out.err == nil {
+			out.res = m.result()
+		}
+		m.rec.Flush()
+	} else {
+		out.res, out.err = m.Run()
+	}
 	out.sched = m.SchedStats()
 	return out
 }

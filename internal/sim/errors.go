@@ -9,11 +9,11 @@ import (
 // to P.MaxCycles without every core halting — a deadlocked or livelocked
 // configuration, which the contention policy is supposed to make
 // impossible. It is a structured, machine-parseable error (cycle count
-// plus per-core program counters) so retry classification and journal
+// plus per-core program counters) so failure classification and journal
 // records can match on the failure itself rather than sniffing substrings
 // of a rendered message. A watchdog trip is a deterministic property of
-// the run — the same configuration trips at the same cycle with the same
-// PCs every time — so internal/sweep never retries it.
+// the run: the same configuration trips at the same cycle with the same
+// PCs every time.
 type WatchdogError struct {
 	// Cycles is the simulated cycle count at expiry (P.MaxCycles).
 	Cycles int64
@@ -43,7 +43,7 @@ func (e *WatchdogError) Error() string {
 // and unwound. Cycles is the simulated cycle at which the interrupt was
 // observed — NOT a deterministic property of the run, since the interrupt
 // itself arrives on wall-clock time. Harnesses that abandon a run on a
-// wall-clock deadline (internal/sweep) discard the interrupted attempt's
+// wall-clock deadline (internal/sweep) discard the interrupted run's
 // error and report their own deterministic deadline failure; this type
 // exists so they can classify the cooperative exit.
 type InterruptedError struct {

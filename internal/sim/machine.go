@@ -105,7 +105,6 @@ type Machine struct {
 	// Result: it depends on the scheduler, and Results must not.
 	schedStats SchedStats
 
-	sched      Scheduler
 	commitHook CommitObserver
 	hookErr    error
 	lazyAttr   bool // event scheduler active: stall/barrier cycles attribute lazily
@@ -219,7 +218,6 @@ func (m *Machine) Reset(p Params, img *mem.Image, progs []*isa.Program) error {
 	m.rec = nil
 	m.metrics = MetricsAgg{}
 	m.schedStats = SchedStats{}
-	m.sched = newScheduler(p.Sched)
 	m.commitHook = nil
 	m.hookErr = nil
 	m.lazyAttr = false
@@ -235,7 +233,7 @@ func (m *Machine) Reset(p Params, img *mem.Image, progs []*isa.Program) error {
 // loop every interruptWindow simulated cycles, lockstep every 4096), so
 // a live machine unwinds within microseconds and Run returns an
 // *InterruptedError. A hard hang inside a single instruction (a blocked
-// commit observer, a buggy custom scheduler) is not interruptible — the
+// commit observer) is not interruptible — the
 // caller's wall-clock deadline must write the goroutine off instead.
 // Reset clears the flag, so a pooled machine never carries an interrupt
 // into its next run.
@@ -276,10 +274,6 @@ func (c *Core) resetFor(prog *isa.Program, specCap int, retCfg core.Config, p Pa
 	c.RetAgg = RetconAgg{}
 }
 
-// SetScheduler replaces the cycle-loop scheduler selected by P.Sched —
-// the plug point for custom Scheduler implementations. Call before Run.
-func (m *Machine) SetScheduler(s Scheduler) { m.sched = s }
-
 // CommitObserver is called at the instant a transaction becomes permanent:
 // every store (including RETCON's pre-commit repair) has been applied to
 // the architectural image and the committing core's registers hold their
@@ -298,17 +292,32 @@ func (m *Machine) OnCommit(fn CommitObserver) { m.commitHook = fn }
 // Run simulates until every core halts, returning the result. It fails if
 // the cycle watchdog expires (a deadlocked or livelocked configuration,
 // which indicates a bug — the contention policy guarantees progress).
-// The cycle loop is driven by the scheduler chosen in P.Sched: the
-// event-driven time-skip scheduler by default, or the lockstep reference
-// oracle; both produce identical Results.
+// The cycle loop is the scheduler chosen in P.Sched: the event-driven
+// time-skip loop by default, or the lockstep reference oracle; both
+// produce identical Results.
 func (m *Machine) Run() (*Result, error) {
 	// Flush on every exit, including panic unwinds: a failed run leaves
 	// its recorded events as a clean, record-aligned prefix of the
 	// stream a successful run would have produced.
 	defer m.rec.Flush()
-	if err := m.sched.Run(m); err != nil {
+	var err error
+	if m.P.Sched == SchedLockstep {
+		err = m.runLockstep()
+	} else {
+		start := m.Now
+		m.lazyAttr = true
+		err = m.runEvent()
+		m.lazyAttr = false
+		m.schedStats.EventCycles = m.Now - start
+	}
+	if err != nil {
 		return nil, err
 	}
+	return m.result(), nil
+}
+
+// result collects the finished run's Result.
+func (m *Machine) result() *Result {
 	// Presize PerCore: the append-growth resizes were most of the ~6
 	// steady-state allocations per run. (The slice must be fresh, not
 	// machine-owned: Results outlive the machine's next Reset.)
@@ -323,7 +332,7 @@ func (m *Machine) Run() (*Result, error) {
 		res.PerCore = append(res.PerCore, c.Stats)
 		mergeAgg(&res.Retcon, &c.RetAgg)
 	}
-	return res, nil
+	return res
 }
 
 func mergeAgg(dst, src *RetconAgg) {
@@ -351,12 +360,6 @@ func (m *Machine) interruptedErr() error {
 	return &InterruptedError{Cycles: m.Now}
 }
 
-// AllHalted reports whether every core has halted — the schedulers' run
-// termination condition, exported so custom Scheduler implementations
-// (internal/chaos's mid-run fault schedulers drive the lockstep Step
-// loop themselves) can use it.
-func (m *Machine) AllHalted() bool { return m.allHalted() }
-
 func (m *Machine) allHalted() bool { return m.haltedCores == len(m.Cores) }
 
 func (m *Machine) pcs() []int {
@@ -367,13 +370,13 @@ func (m *Machine) pcs() []int {
 	return out
 }
 
-// Step advances the machine by one lockstep cycle: every core, in ID
+// step advances the machine by one lockstep cycle: every core, in ID
 // order, is charged the cycle to its wait category or executes one
 // instruction. The dispatch stays inline, so a halted or stalled core
 // costs no call.
 //
 //retcon:hotpath lockstep per-cycle loop; see TestAllocsPerCycleRegression
-func (m *Machine) Step() {
+func (m *Machine) step() {
 	m.Now++
 	now := m.Now
 	for _, c := range m.Cores {

@@ -180,5 +180,14 @@ func (p *Params) Validate() error {
 	if p.SpecCapacity < 1 {
 		return bad("SpecCapacity", int64(p.SpecCapacity), "must be at least 1 block")
 	}
+	if p.NackRetry < 1 {
+		return bad("NackRetry", p.NackRetry, "must be at least 1 cycle")
+	}
+	if p.AbortBackoffBase < 0 {
+		return bad("AbortBackoffBase", p.AbortBackoffBase, "must not be negative")
+	}
+	if p.PromoteAfter < 1 {
+		return bad("PromoteAfter", int64(p.PromoteAfter), "must be at least 1 conflict")
+	}
 	return nil
 }

@@ -50,29 +50,6 @@ func ParseSched(s string) (SchedKind, error) {
 	return 0, fmt.Errorf("sim: unknown scheduler %q (want event or lockstep)", s)
 }
 
-// Scheduler drives the machine's cycle loop. Implementations must be
-// observationally invisible: for identical inputs every scheduler yields
-// identical Results (cycle counts, per-category breakdowns, abort counts,
-// RETCON aggregates) and identical trace output. The lockstep scheduler
-// defines those semantics; the event scheduler is checked against it by
-// the differential oracle tests.
-type Scheduler interface {
-	// Run simulates until every core halts. It returns an error when the
-	// cycle watchdog expires (deadlock or livelock).
-	Run(m *Machine) error
-}
-
-func newScheduler(k SchedKind) Scheduler {
-	if k == SchedLockstep {
-		return lockstepSched{}
-	}
-	return eventSched{}
-}
-
-// lockstepSched is the reference scheduler: every simulated cycle touches
-// every core, exactly as the original fixed stepper did.
-type lockstepSched struct{}
-
 // interruptMask gates the lockstep loop's cooperative-interrupt poll to
 // every 4096 cycles: one atomic load per 4096 iterations is invisible in
 // the per-cycle budget, and a wall-clock abandon (the only caller of
@@ -80,7 +57,9 @@ type lockstepSched struct{}
 // interruptWindow cycles instead.
 const interruptMask = 4096 - 1
 
-func (lockstepSched) Run(m *Machine) error {
+// runLockstep is the reference scheduler: every simulated cycle touches
+// every core (step), exactly as the original fixed stepper did.
+func (m *Machine) runLockstep() error {
 	for !m.allHalted() {
 		if m.Now >= m.P.MaxCycles {
 			return m.watchdogErr()
@@ -88,7 +67,7 @@ func (lockstepSched) Run(m *Machine) error {
 		if m.Now&interruptMask == 0 && m.interrupted.Load() {
 			return m.interruptedErr()
 		}
-		m.Step()
+		m.step()
 		if m.hookErr != nil {
 			return m.hookErr
 		}
@@ -96,11 +75,23 @@ func (lockstepSched) Run(m *Machine) error {
 	return nil
 }
 
-// eventSched is the event-driven time-skip scheduler. Each core's next
+// interruptWindow paces runEvent's cooperative-interrupt poll: it checks
+// the flag once whenever at least this many simulated cycles have passed
+// since the last check. It also caps the instructions one run interprets
+// in a turn (runLocal), so a register-only loop still reaches the poll.
+const interruptWindow = 1024
+
+// parked marks a core with no timed wake (halted, or waiting at a barrier
+// until a release rewrites its slot). It is the maximum wake time, so it
+// lies beyond every watchdog bound and is never queued.
+const parked = neverWakes
+
+// runEvent is the event-driven time-skip scheduler. Each core's next
 // wake time is explicit (stall expiry; barrier waits and halts wake only
 // through another core's execution), so the loop jumps Now from wake
-// event to wake event — a cycle in which no core is due is never visited,
-// and a core costs nothing between events. The skipped cycles are
+// event to wake event — a cycle in which no core is due is visited only
+// as a lap of a wake beyond the timing wheel (see wakeQueue), and a core
+// costs nothing between events. The skipped cycles are
 // attributed lazily: settle() bulk-charges them to the core's pending
 // wait category the moment its state is next observed (its own
 // execution, a remote abort, a barrier release), reproducing the lockstep
@@ -146,50 +137,24 @@ func (lockstepSched) Run(m *Machine) error {
 // dropped when its cycle comes. Walking a due mask from its lowest bit up
 // is ascending core-ID order, lockstep's order within a cycle, with no
 // sort or merge.
-type eventSched struct{}
-
-// interruptWindow paces runEvent's cooperative-interrupt poll: it checks
-// the flag once whenever at least this many simulated cycles have passed
-// since the last check. It also caps the instructions one run interprets
-// in a turn (runLocal), so a register-only loop still reaches the poll.
-const interruptWindow = 1024
-
-// parked marks a core with no timed wake (halted, or waiting at a barrier
-// until a release rewrites its slot). It is the maximum wake time, so it
-// lies beyond every watchdog bound and is never queued.
-const parked = neverWakes
-
-func (eventSched) Run(m *Machine) error {
-	m.lazyAttr = true
-	defer func() { m.lazyAttr = false }()
-	// Entry check so an interrupt raised before Run (a deadline abandon
-	// racing a pool handoff) fails even a run too short to reach its
-	// first poll; runEvent polls every interruptWindow cycles after this.
-	if m.interrupted.Load() {
-		return m.interruptedErr()
-	}
-	start := m.Now
-	err := m.runEvent()
-	m.schedStats.EventCycles = m.Now - start
-	return err
-}
-
-// runEvent is the event loop: it visits only the cycles at which some
-// core is due, taking them from the wake queue, and executes the due cores
-// in ascending ID order.
 //
 // The common cases stay inline: a core that continues next cycle sets its
 // bit in the queue's soon mask, and a visited cycle reads that mask and
 // the current wheel slot's occupancy bit. Only a cycle with nothing due
-// next calls out to find the earliest occupied slot, and only a visit at
-// the far set's minimum drains the far set.
+// next calls out to find the earliest occupied slot.
 //
 // The preamble, run once at the start of Run, builds the wake table and
-// queue from core state. It returns nil when every core has halted.
+// queue from core state. It first checks the interrupt flag, so an
+// interrupt raised before Run (a deadline abandon racing a pool handoff)
+// fails even a run too short to reach its first poll. It returns nil when
+// every core has halted.
 //
 //retcon:hotpath per-cycle event loop; see TestAllocsPerCycleRegression
 func (m *Machine) runEvent() error {
-	m.wq = wakeQueue{farMin: parked}
+	if m.interrupted.Load() {
+		return m.interruptedErr()
+	}
+	m.wq = wakeQueue{}
 	q := &m.wq
 	n := len(m.Cores)
 	wakes := m.wakes
@@ -207,11 +172,11 @@ func (m *Machine) runEvent() error {
 	polled := m.Now
 	for m.haltedCores < n {
 		// Every queued wake lies after m.Now, so the next cycle to visit is
-		// m.Now+1 when the soon mask is set, else the earlier of the first
-		// occupied wheel slot and the far set's minimum.
+		// m.Now+1 when the soon mask is set, else the first occupied wheel
+		// slot.
 		next := m.Now + 1
 		if q.soon == 0 {
-			next = min(q.nextSlot(m.Now), q.farMin)
+			next = q.nextSlot(m.Now)
 		}
 		if next > m.P.MaxCycles {
 			// The next wake lies beyond the watchdog (or there is none at
@@ -229,9 +194,6 @@ func (m *Machine) runEvent() error {
 			q.slots[s] = 0
 			q.occ[s>>6] &^= 1 << (s & 63)
 		}
-		if next == q.farMin {
-			due |= q.drainFar(wakes, next)
-		}
 
 		for ; due != 0; due &= due - 1 {
 			id := bits.TrailingZeros64(due)
@@ -240,8 +202,12 @@ func (m *Machine) runEvent() error {
 			// core's execution this cycle may have aborted (and rescheduled)
 			// it, exactly as under lockstep order. The wake slot is checked
 			// before the core is even loaded — stale bits cost one array
-			// read, not a cache miss on the Core.
-			if wakes[id] != m.Now {
+			// read, not a cache miss on the Core. A bit whose wake falls on
+			// a later lap of this slot goes back into it.
+			if w := wakes[id]; w != m.Now {
+				if w > m.Now && (w-m.Now)&wheelMask == 0 && w != parked {
+					q.push(id, w, m.Now)
+				}
 				continue
 			}
 			c := m.Cores[id]
@@ -361,7 +327,7 @@ func (m *Machine) steppedThrough(id int) int64 {
 // block) runs after this charge and commutes with it. The block's slot
 // exists since c's first NACK, so the bulk count never grows the table.
 func (m *Machine) unpark(c *Core, upTo int64) {
-	r := max(m.P.NackRetry, 1) // a NACK stalls through Now+NackRetry-1
+	r := m.P.NackRetry // a NACK stalls through Now+NackRetry-1
 	if k := (upTo - c.nackAt) / r; k > 0 {
 		c.Stats.Instrs += k
 		c.Stats.Nacks += k
@@ -491,8 +457,9 @@ func (m *Machine) refundRun(c *Core, upTo int64) {
 
 // Timing-wheel geometry: one slot per cycle over a horizon that covers
 // every common stall (NACK retries, abort backoffs, cache misses, DRAM
-// with occupancy queuing). Longer wakes — long DRAM latencies, late
-// abort backoffs, multi-thousand-cycle commit repairs — go to the far set.
+// with occupancy queuing). A longer wake — a long DRAM latency, a late
+// abort backoff, a multi-thousand-cycle commit repair — waits in its slot
+// for as many laps as it needs.
 const (
 	wheelBits = 10
 	wheelSize = 1 << wheelBits
@@ -502,40 +469,32 @@ const (
 // wakeQueue is the event loop's wake queue. Every entry is a core mask:
 //
 //   - soon holds the cores due at Now+1, the common busy case;
-//   - slots is a single-level timing wheel over the next wheelSize
-//     cycles, indexed by cycle mod wheelSize, with an occupancy bitmap
-//     (occ) for an O(words) search for the next occupied slot. Every
-//     queued wake lies at most wheelSize cycles ahead, and the loop never
-//     skips an occupied slot, so when a slot comes due all its cores
-//     share that due cycle;
-//   - far holds the cores whose wakes lie beyond the horizon, and farMin
-//     is the earliest of those wakes. At farMin the loop drains far:
-//     cores due then run, and the rest are queued again by their current
-//     wake, so those now within the horizon move into the wheel.
+//   - slots is a single-level timing wheel indexed by cycle mod
+//     wheelSize, with an occupancy bitmap (occ) for an O(words) search
+//     for the next occupied slot. The loop never skips an occupied slot,
+//     so it visits each slot once per lap. A wake more than wheelSize
+//     cycles ahead is queued in its slot all the same: the visits on
+//     earlier laps find the core not due and queue its bit again, so it
+//     costs one visited cycle per lap.
 //
 // The queue lives on the Machine and is rebuilt by runEvent at the start
 // of every run, so steady-state runs allocate nothing for it.
 type wakeQueue struct {
-	soon   uint64
-	slots  [wheelSize]uint64
-	occ    [wheelSize / 64]uint64
-	far    uint64
-	farMin int64
+	soon  uint64
+	slots [wheelSize]uint64
+	occ   [wheelSize / 64]uint64
 }
 
 // push queues core id for cycle w, which lies after now.
 func (q *wakeQueue) push(id int, w, now int64) {
-	switch bit := uint64(1) << id; {
-	case w == now+1:
+	bit := uint64(1) << id
+	if w == now+1 {
 		q.soon |= bit
-	case w-now <= wheelSize:
-		s := int(w) & wheelMask
-		q.slots[s] |= bit
-		q.occ[s>>6] |= 1 << (s & 63)
-	default:
-		q.far |= bit
-		q.farMin = min(q.farMin, w)
+		return
 	}
+	s := int(w) & wheelMask
+	q.slots[s] |= bit
+	q.occ[s>>6] |= 1 << (s & 63)
 }
 
 // nextSlot returns the cycle of the first occupied wheel slot after now,
@@ -555,27 +514,6 @@ func (q *wakeQueue) nextSlot(now int64) int64 {
 		word = q.occ[wi]
 	}
 	return parked
-}
-
-// drainFar empties the far set at cycle now, its minimum. It returns the
-// cores due now and queues the rest again by their current wake, which
-// also recomputes farMin exactly. A bit whose core has since been
-// rescheduled is queued by its new wake (a duplicate of the bit that
-// reschedule queued, which the masks absorb); one whose core is parked or
-// already past is dropped.
-func (q *wakeQueue) drainFar(wakes []int64, now int64) (due uint64) {
-	far := q.far
-	q.far, q.farMin = 0, parked
-	for ; far != 0; far &= far - 1 {
-		id := bits.TrailingZeros64(far)
-		switch w := wakes[id]; {
-		case w == now:
-			due |= 1 << id
-		case w > now && w != parked:
-			q.push(id, w, now)
-		}
-	}
-	return due
 }
 
 // settle bulk-attributes core c's unaccounted cycles through cycle upTo

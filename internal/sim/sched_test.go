@@ -65,9 +65,9 @@ func runBoth(t *testing.T, p Params, probe int64, build func() (*mem.Image, []*i
 // every mode and several machine sizes — stall-heavy (NACK retries, abort
 // backoffs, DRAM misses), so the time-skip path is exercised hard. The
 // second row's 1500-cycle DRAM and 400-cycle abort backoff put most
-// stalls beyond the wake queue's wheel horizon, so its far set is filled,
-// drained at its minimum and refilled, also by remote aborts of cores
-// already waiting there; 33 cores is the first size past a half-word
+// stalls beyond the wake queue's wheel horizon, so cores wait in their
+// slot for a later lap and are queued again there, also after remote
+// aborts rescheduled them; 33 cores is the first size past a half-word
 // mask, 64 sets every mask bit.
 func TestSchedulerEquivalenceCounter(t *testing.T) {
 	for _, row := range []struct {
@@ -320,23 +320,6 @@ func TestParseSched(t *testing.T) {
 	p.Sched = SchedKind(9)
 	if err := p.Validate(); err == nil {
 		t.Error("invalid scheduler must fail validation")
-	}
-}
-
-// TestSetScheduler: a custom Scheduler plugged into the machine drives
-// the run (here: the lockstep oracle installed explicitly).
-func TestSetScheduler(t *testing.T) {
-	img, counter, progs := buildCounter(2, 3, 1, 4)
-	m, err := New(testParams(2, Eager), img, progs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetScheduler(lockstepSched{})
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := img.Read64(counter); got != 6 {
-		t.Errorf("counter = %d, want 6", got)
 	}
 }
 

@@ -540,7 +540,8 @@ func TestValidate(t *testing.T) {
 
 // TestValidateNamesField: every configuration no machine can be built or
 // run with fails Validate with a *ParamError naming the field, instead of
-// panicking in cache construction or running to the cycle watchdog.
+// panicking in cache construction, running to the cycle watchdog, or
+// running as another value (a NackRetry below 1 ran as 1).
 func TestValidateNamesField(t *testing.T) {
 	for _, tc := range []struct {
 		field string
@@ -564,6 +565,10 @@ func TestValidateNamesField(t *testing.T) {
 		{"DRAMOccupancy", func(p *Params) { p.DRAMOccupancy = -1 }},
 		{"SpecCapacity", func(p *Params) { p.SpecCapacity = 0 }},
 		{"SpecCapacity", func(p *Params) { p.SpecCapacity = -1 }},
+		{"NackRetry", func(p *Params) { p.NackRetry = 0 }},
+		{"NackRetry", func(p *Params) { p.NackRetry = -5 }},
+		{"AbortBackoffBase", func(p *Params) { p.AbortBackoffBase = -100 }},
+		{"PromoteAfter", func(p *Params) { p.PromoteAfter = 0 }},
 	} {
 		p := DefaultParams()
 		tc.set(&p)
@@ -577,6 +582,7 @@ func TestValidateNamesField(t *testing.T) {
 	for _, set := range []func(*Params){
 		func(p *Params) { p.L1Hit, p.L2Hit, p.Hop, p.DRAM, p.DRAMOccupancy = 0, 0, 0, 0, 0 },
 		func(p *Params) { p.SpecCapacity = 1 },
+		func(p *Params) { p.NackRetry, p.AbortBackoffBase, p.PromoteAfter = 1, 0, 1 },
 		func(p *Params) { p.Ways, p.L1Bytes, p.L2Bytes = 3, 3*64*256, 3*64*4096 },
 		func(p *Params) { p.Ways, p.L1Bytes, p.L2Bytes = 1, 64, 64 },
 	} {

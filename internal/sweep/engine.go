@@ -10,8 +10,9 @@ import (
 // Engine executes expanded runs across a bounded pool of worker
 // goroutines, with fault isolation around every run: panics become
 // structured Outcome errors, hung runs are abandoned on a wall-clock
-// deadline, possibly-transient failures retry deterministically, and a
-// journal makes an interrupted sweep resumable. The zero value is ready
+// deadline, and a journal makes an interrupted sweep resumable. Each run
+// is attempted exactly once: a run is a pure function of its
+// configuration, so a failure would only repeat. The zero value is ready
 // to use: GOMAXPROCS workers, the real simulator, and every resilience
 // feature off. An Engine is the whole description of how a grid
 // executes: retcon-sweep and retcon-lab build one from the same flags
@@ -19,20 +20,13 @@ import (
 type Engine struct {
 	// Workers bounds the pool; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Tasks overrides run execution at the attempt level, seeing the
-	// attempt number and the machine-ownership handle (fault injection:
-	// internal/chaos; fakes in tests); nil means the simulator.
+	// Tasks overrides run execution, seeing the machine-ownership handle
+	// (fault injection: internal/chaos; fakes in tests); nil means the
+	// simulator.
 	Tasks TaskFunc
-	// Deadline bounds each attempt's wall-clock time; an attempt that
-	// exceeds it is abandoned and fails with FailDeadline. <= 0 disables.
+	// Deadline bounds each run's wall-clock time; a run that exceeds it
+	// is abandoned and fails with FailDeadline. <= 0 disables.
 	Deadline time.Duration
-	// Retries grants possibly-transient failures up to this many further
-	// attempts (deterministic failures — watchdog, oracle divergence —
-	// never retry). 0 disables retry.
-	Retries int
-	// RetryBackoff is the base wall-clock pause between attempts
-	// (jittered into [base, 2*base)); <= 0 means 25ms.
-	RetryBackoff time.Duration
 	// Journal, when non-nil, memoizes outcomes: runs already journaled
 	// are replayed instead of executed, and completed runs are appended.
 	// See Journal for the crash-safety and resume contract.

@@ -6,39 +6,35 @@ import (
 	"repro/internal/sim"
 )
 
-// FailKind classifies a failed run. The classification drives three
-// consumers: the retry policy (deterministic failures are never retried,
-// possibly-transient ones are), the run journal (a replayed failure must
-// reconstruct the same kind), and the lab's anomaly report (which labels
-// infra anomalies by kind instead of sniffing message substrings).
+// FailKind classifies a failed run. The classification drives two
+// consumers: the run journal (a replayed failure must reconstruct the
+// same kind), and the lab's anomaly report (which labels infra anomalies
+// by kind instead of sniffing message substrings).
 type FailKind int
 
 const (
 	// FailNone is the classification of a nil error.
 	FailNone FailKind = iota
-	// FailError is an unclassified failure — treated as possibly
-	// transient infra (I/O, resource exhaustion), so it is retryable.
+	// FailError is an unclassified failure (an unknown workload, an
+	// unbuildable machine, a journal write error).
 	FailError
 	// FailPanic is a run that panicked and was converted into a
-	// structured error by the engine's recovery wrapper. Retryable: the
-	// panic may be environmental, and a deterministic panic simply fails
-	// again and surfaces after the retry budget.
+	// structured error by the engine's recovery wrapper.
 	FailPanic
 	// FailWatchdog is a simulated-cycle watchdog expiry
 	// (*sim.WatchdogError): a deterministic property of the
-	// configuration. Never retried.
+	// configuration.
 	FailWatchdog
 	// FailDeadline is a wall-clock deadline abandon: the run exceeded
-	// Engine.Deadline and was written off. Retryable — a hang may be a
-	// scheduling hiccup rather than a livelock.
+	// Engine.Deadline and was written off.
 	FailDeadline
 	// FailOracle is an oracle divergence: the workload's final-state
 	// verification failed, or (in the lab) the lockstep differential
-	// oracle disagreed. Deterministic by definition. Never retried.
+	// oracle disagreed.
 	FailOracle
 	// FailInterrupted marks a run that never started because the sweep
 	// was checkpointed (Engine.Stop closed). Not a failure of the run;
-	// never retried, never journaled, never written to sinks.
+	// never journaled, never written to sinks.
 	FailInterrupted
 )
 
@@ -64,7 +60,7 @@ func (k FailKind) String() string {
 }
 
 // parseFailKind inverts String. Unknown labels (a journal written by a
-// newer version) degrade to FailError, the conservative retryable kind.
+// newer version) degrade to FailError.
 func parseFailKind(s string) FailKind {
 	for _, k := range []FailKind{FailNone, FailError, FailPanic, FailWatchdog, FailDeadline, FailOracle, FailInterrupted} {
 		if k.String() == s {
@@ -72,14 +68,6 @@ func parseFailKind(s string) FailKind {
 		}
 	}
 	return FailError
-}
-
-// Deterministic reports whether the failure is a deterministic property
-// of the run itself — re-executing the identical configuration provably
-// fails the identical way — as opposed to possibly-transient infra.
-// Deterministic failures are never retried.
-func (k FailKind) Deterministic() bool {
-	return k == FailWatchdog || k == FailOracle
 }
 
 // RunError is the structured error the engine attaches to failed

@@ -34,17 +34,6 @@ func TestClassify(t *testing.T) {
 			t.Errorf("%s: Classify = %v, want %v", c.name, got, c.want)
 		}
 	}
-	// Only watchdog trips and oracle divergences are deterministic (never
-	// retried); everything else is possibly transient.
-	for k, want := range map[FailKind]bool{
-		FailNone: false, FailError: false, FailPanic: false,
-		FailWatchdog: true, FailDeadline: false, FailOracle: true,
-		FailInterrupted: false,
-	} {
-		if k.Deterministic() != want {
-			t.Errorf("%v.Deterministic() = %v, want %v", k, !want, want)
-		}
-	}
 	// String/parse round trip: journal entries store the kind by label.
 	for _, k := range []FailKind{FailNone, FailError, FailPanic, FailWatchdog, FailDeadline, FailOracle, FailInterrupted} {
 		if got := parseFailKind(k.String()); got != k {
@@ -107,75 +96,38 @@ func (a *attemptCounter) bump(r Run) int {
 	return a.calls[r.key()]
 }
 
-// TestRetryTransient: possibly-transient failures are retried up to
-// Engine.Retries times and can recover.
-func TestRetryTransient(t *testing.T) {
-	ac := &attemptCounter{}
-	eng := Engine{Workers: 2, Retries: 1, RetryBackoff: time.Millisecond,
-		Tasks: func(tk Task) (*sim.Result, error) {
-			ac.bump(tk.Run)
-			if tk.Attempt == 0 {
-				return nil, fmt.Errorf("transient %d", tk.Run.Seed)
-			}
-			return &sim.Result{Cycles: tk.Run.Seed}, nil
-		}}
-	outs := eng.Execute(grid(4))
-	for _, o := range outs {
-		if o.Err != nil {
-			t.Errorf("seed %d not recovered: %v", o.Run.Seed, o.Err)
-		}
-	}
-	for k, n := range ac.calls {
-		if n != 2 {
-			t.Errorf("run %+v attempted %d times, want 2", k, n)
-		}
-	}
-}
-
-// TestRetryExhausted: a persistently failing run surfaces its last error
-// after Retries+1 attempts.
-func TestRetryExhausted(t *testing.T) {
-	ac := &attemptCounter{}
-	eng := Engine{Workers: 1, Retries: 2, RetryBackoff: time.Millisecond,
-		Tasks: func(tk Task) (*sim.Result, error) {
-			ac.bump(tk.Run)
-			return nil, fmt.Errorf("still broken (attempt %d)", tk.Attempt)
-		}}
-	outs := eng.Execute(grid(1))
-	if outs[0].Err == nil || !strings.Contains(outs[0].Err.Error(), "attempt 2") {
-		t.Fatalf("err = %v, want the final attempt's error", outs[0].Err)
-	}
-	for _, n := range ac.calls {
-		if n != 3 {
-			t.Errorf("attempted %d times, want 3 (1 + 2 retries)", n)
-		}
-	}
-}
-
-// TestNoRetryDeterministic: watchdog trips and oracle divergences are
-// facts about the configuration — retrying would repeat the identical
-// simulation, so the engine must not.
+// TestNoRetryDeterministic: a run is a pure function of its
+// configuration, so a retry could only repeat its failure. The engine
+// attempts every run exactly once, whatever its failure kind.
 func TestNoRetryDeterministic(t *testing.T) {
 	for _, c := range []struct {
-		name string
-		err  error
+		want FailKind
+		run  func() (*sim.Result, error)
 	}{
-		{"watchdog", fmt.Errorf("sweep: counter: %w", &sim.WatchdogError{Cycles: 99, PCs: []int{1}})},
-		{"oracle", &RunError{Kind: FailOracle, Msg: "lost updates"}},
+		{FailError, func() (*sim.Result, error) { return nil, errors.New("boom") }},
+		{FailPanic, func() (*sim.Result, error) { panic("boom") }},
+		{FailWatchdog, func() (*sim.Result, error) {
+			return nil, fmt.Errorf("sweep: counter: %w", &sim.WatchdogError{Cycles: 99, PCs: []int{1}})
+		}},
+		{FailDeadline, func() (*sim.Result, error) {
+			time.Sleep(100 * time.Millisecond) // past the deadline, inside the grace
+			return &sim.Result{}, nil
+		}},
+		{FailOracle, func() (*sim.Result, error) { return nil, &RunError{Kind: FailOracle, Msg: "lost updates"} }},
 	} {
 		ac := &attemptCounter{}
-		eng := Engine{Workers: 1, Retries: 5, RetryBackoff: time.Millisecond,
+		eng := Engine{Workers: 1, Deadline: 20 * time.Millisecond,
 			Tasks: func(tk Task) (*sim.Result, error) {
 				ac.bump(tk.Run)
-				return nil, c.err
+				return c.run()
 			}}
 		outs := eng.Execute(grid(1))
-		if outs[0].Err == nil {
-			t.Fatalf("%s: expected failure", c.name)
+		if k := Classify(outs[0].Err); k != c.want {
+			t.Errorf("%v: outcome classified %v (err %v)", c.want, k, outs[0].Err)
 		}
 		for _, n := range ac.calls {
 			if n != 1 {
-				t.Errorf("%s: attempted %d times, want 1 (deterministic failures never retry)", c.name, n)
+				t.Errorf("%v: attempted %d times, want 1", c.want, n)
 			}
 		}
 	}
@@ -306,26 +258,6 @@ func TestQuarantineOnFailure(t *testing.T) {
 	}
 	if puts1-puts0 != 1 {
 		t.Errorf("puts grew by %d, want 1 (the clean machine)", puts1-puts0)
-	}
-}
-
-// TestRetryDelayDeterminism: backoff is a pure function of run identity
-// and attempt — and stays within [base, 2*base).
-func TestRetryDelayDeterminism(t *testing.T) {
-	r := grid(1)[0]
-	base := 25 * time.Millisecond
-	d1 := retryDelay(r, 0, base)
-	d2 := retryDelay(r, 0, base)
-	if d1 != d2 {
-		t.Errorf("same inputs gave %v and %v", d1, d2)
-	}
-	if d1 < base || d1 >= 2*base {
-		t.Errorf("delay %v outside [base, 2*base)", d1)
-	}
-	other := r
-	other.Seed++
-	if retryDelay(r, 1, base) == d1 && retryDelay(other, 0, base) == d1 {
-		t.Error("delay ignores attempt and run identity")
 	}
 }
 

@@ -18,8 +18,6 @@ type Progress struct {
 	Done atomic.Int64
 	// Failed counts the subset of Done that resolved with an error.
 	Failed atomic.Int64
-	// Retried counts retry attempts granted after transient failures.
-	Retried atomic.Int64
 }
 
 // progressDone marks one run resolved with the given final error.
@@ -30,12 +28,5 @@ func (e *Engine) progressDone(err error) {
 	e.Progress.Done.Add(1)
 	if err != nil {
 		e.Progress.Failed.Add(1)
-	}
-}
-
-// progressRetry counts one granted retry attempt.
-func (e *Engine) progressRetry() {
-	if e.Progress != nil {
-		e.Progress.Retried.Add(1)
 	}
 }

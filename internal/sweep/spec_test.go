@@ -369,7 +369,7 @@ func TestParamPatchApplyAtomic(t *testing.T) {
 // TestExpandRejectsUnbuildableParams: a sweep spec whose params no machine
 // can be built or run with fails expansion with the *sim.ParamError naming
 // the field, before any run starts (these used to panic in the cache
-// constructor or run to the cycle watchdog).
+// constructor, run to the cycle watchdog, or run as another value).
 func TestExpandRejectsUnbuildableParams(t *testing.T) {
 	for _, tc := range []struct{ params, field string }{
 		{`{"l2_bytes": 0}`, "L2Bytes"},
@@ -383,6 +383,9 @@ func TestExpandRejectsUnbuildableParams(t *testing.T) {
 		{`{"hop": -1}`, "Hop"},
 		{`{"dram": -1}`, "DRAM"},
 		{`{"dram_occupancy": -1}`, "DRAMOccupancy"},
+		{`{"nack_retry": 0}`, "NackRetry"},
+		{`{"abort_backoff_base": -100}`, "AbortBackoffBase"},
+		{`{"promote_after": 0}`, "PromoteAfter"},
 	} {
 		specs, err := ParseSpecs(strings.NewReader(`{"name": "bad", "workloads": ["counter"], "cores": [2], "params": ` + tc.params + `}`))
 		if err != nil {

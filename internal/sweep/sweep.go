@@ -246,7 +246,7 @@ var machines sim.MachinePool
 // image against the workload's atomicity invariants (the same oracle the
 // root retcon.Run applies). instrument, when non-nil, is invoked with the
 // run's machine after Reset and before Run — the plug point for fault
-// injection (internal/chaos) and custom scheduler installation.
+// injection (internal/chaos) and for attaching an event recorder.
 //
 // Machine lifecycle: the quarantine rule says only a machine whose run
 // fully succeeded (simulation AND verification) returns to the pool;

@@ -104,7 +104,7 @@ type Info struct {
 }
 
 // List returns (name, description) rows in registration order — the
-// -list-workloads view, without constructing workload values.
+// -list view, without constructing workload values.
 func (r *Registry) List() []Info {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

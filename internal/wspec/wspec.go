@@ -67,7 +67,7 @@ type Spec struct {
 	// Name labels the workload (registry name when registered without a
 	// spec: reference).
 	Name string `json:"name"`
-	// Description is the one-line summary shown by -list-workloads.
+	// Description is the one-line summary shown by -list.
 	Description string `json:"description,omitempty"`
 	// Params declares named numeric knobs with their default values.
 	// Any Num-typed field may reference a knob as the string "$name",
